@@ -225,3 +225,13 @@ val ota_chunk_base : int
 (** Per-chunk bookkeeping of the staged-image assembly buffer (96;
     cursor checks and bounds tests — the copy itself is charged at
     [loader_copy_per_byte] when the image is loaded). *)
+
+(** {2 Crypto charging} *)
+
+val charged : Tytan_machine.Cycles.t -> (unit -> 'a) -> 'a
+(** [charged clock f] runs [f] and charges [clock] for the hash
+    compressions [f] really performed: SHA-1 at
+    [crypto_per_compression], SHA-256 at [sha256_per_compression].  It
+    samples the calling domain's counters
+    ({!Tytan_crypto.Sha1.domain_compressions}), so hashing that another
+    domain does meanwhile is never billed to [clock]. *)

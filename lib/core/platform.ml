@@ -126,11 +126,8 @@ let region map name = List.assoc name map
    secure boot has real bytes to measure. *)
 let fill_region mem name (r : Region.t) =
   let seed = Hashtbl.hash name in
-  let block = Bytes.create (Region.size r) in
-  for i = 0 to Region.size r - 1 do
-    Bytes.set block i (Char.chr ((seed + (i * 131)) land 0xFF))
-  done;
-  Memory.blit_bytes mem (Region.base r) block
+  Memory.init_range mem (Region.base r) (Region.size r) (fun i ->
+      Char.chr ((seed + (i * 131)) land 0xFF))
 
 let write_program mem addr instrs =
   List.iteri
@@ -158,8 +155,13 @@ let svc_program =
     Isa.Jmp (Word.of_signed (-6 * Isa.width));
   ]
 
-let region_id mem (r : Region.t) =
-  Task_id.of_image (Memory.read_bytes mem (Region.base r) (Region.size r))
+(* SHA-1 of a region, hashed in place from RAM. *)
+let hash_region mem (r : Region.t) =
+  let ctx = Crypto.Sha1.init () in
+  Memory.iter_range mem (Region.base r) (Region.size r) (Crypto.Sha1.feed_sub ctx);
+  Crypto.Sha1.finalize ctx
+
+let region_id mem r = Task_id.of_digest (hash_region mem r)
 
 (* --- Secure boot --------------------------------------------------------- *)
 
@@ -167,13 +169,11 @@ let verify_components clock mem map ~references =
   List.iter
     (fun (name, reference) ->
       let r = region map name in
-      let content = Memory.read_bytes mem (Region.base r) (Region.size r) in
       let blocks =
-        (Bytes.length content + Crypto.Sha1.block_size - 1)
-        / Crypto.Sha1.block_size
+        (Region.size r + Crypto.Sha1.block_size - 1) / Crypto.Sha1.block_size
       in
       Cycles.charge clock (blocks * Cost_model.boot_verify_per_block);
-      let digest = Crypto.Sha1.digest content in
+      let digest = hash_region mem r in
       if not (Crypto.Constant_time.equal digest reference) then
         raise
           (Boot_failure
@@ -219,8 +219,7 @@ let create ?(config = default_config) () =
       (fun (name, r) ->
         if name = "idt" || name = "kp" || name = "kernel-data" then None
         else
-          Some
-            (name, Crypto.Sha1.digest (Memory.read_bytes mem (Region.base r) (Region.size r))))
+          Some (name, hash_region mem r))
       map
   in
   (* Test hook: a corrupted component must make secure boot fail. *)

@@ -1,14 +1,28 @@
-(* Binary Merkle tree over SHA-256 with RFC 6962-style domain
-   separation: leaves hash under a 0x00 prefix, interior nodes under
-   0x01, so no leaf payload can masquerade as an interior node (the
-   classic second-preimage trick against prefix-free-less trees).  An
-   odd node at any level is promoted unchanged — no duplication — so a
+(* Binary Merkle tree over SHA-256.  Leaves hash as 0x00 || payload and
+   interior nodes as left || 0x01 || right.  This is weaker than RFC
+   6962, which prefixes nodes with 0x01: an interior node whose left
+   child's hash starts with 0x00 can be presented as a leaf.  An odd
+   node at any level is promoted unchanged — no duplication — so a
    singleton tree's root is exactly the leaf hash. *)
 
 let leaf_prefix = Bytes.make 1 '\x00'
 let node_prefix = Bytes.make 1 '\x01'
-let leaf_hash payload = Sha256.digest (Bytes.cat leaf_prefix payload)
-let node_hash left right = Sha256.digest (Bytes.concat node_prefix [ left; right ])
+
+(* Prefix and payload are fed to one context, never concatenated. *)
+let leaf_hash payload =
+  let ctx = Sha256.init () in
+  Sha256.feed ctx leaf_prefix;
+  Sha256.feed ctx payload;
+  Sha256.finalize ctx
+
+(* The 0x01 byte sits between the two children, not in front of them:
+   every committed root and golden file depends on this layout. *)
+let node_hash left right =
+  let ctx = Sha256.init () in
+  Sha256.feed ctx left;
+  Sha256.feed ctx node_prefix;
+  Sha256.feed ctx right;
+  Sha256.finalize ctx
 
 type step = { sibling : bytes; sibling_on_left : bool }
 type proof = step list

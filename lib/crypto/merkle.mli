@@ -5,17 +5,19 @@
     devices with a single 32-byte digest, and any single device's
     membership is provable with an O(log N) path.
 
-    Domain separation (RFC 6962 style): leaves are hashed as
-    [SHA-256(0x00 | payload)], interior nodes as
-    [SHA-256(0x01 | left | right)], which blocks leaf/node confusion
-    second-preimage attacks.  An odd node at any level is promoted
-    unchanged, so a one-leaf tree degenerates to the leaf hash itself. *)
+    Leaves are hashed as [SHA-256(0x00 | payload)] and interior nodes
+    as [SHA-256(left | 0x01 | right)].  The 0x01 sits between the
+    children rather than in front of them as in RFC 6962, so the
+    separation is partial: an interior node whose left child's digest
+    begins with 0x00 can be re-presented as a leaf.  An odd node at any
+    level is promoted unchanged, so a one-leaf tree degenerates to the
+    leaf hash itself. *)
 
 val leaf_hash : bytes -> bytes
 (** [SHA-256(0x00 | payload)]. *)
 
 val node_hash : bytes -> bytes -> bytes
-(** [SHA-256(0x01 | left | right)]. *)
+(** [SHA-256(left | 0x01 | right)]. *)
 
 type step = {
   sibling : bytes;  (** the sibling digest to combine with *)

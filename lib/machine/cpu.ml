@@ -309,9 +309,10 @@ let step t =
          (* An undecodable word (e.g. a bit-flipped instruction) is an
             illegal-opcode fault, not a simulator crash: deliver it through
             the same path as a protection violation so the OS can contain
-            the faulting task. *)
+            the faulting task.  The word is decoded in place from its RAM
+            page: the fetch copies nothing. *)
          let instr =
-           try Isa.decode (Memory.read_bytes t.mem pc Isa.width)
+           try Memory.fetch t.mem pc Isa.width Isa.decode_at
            with Invalid_argument _ ->
              Access.violation ~eip:pc ~addr:pc ~size:Isa.width
                ~kind:Access.Execute "illegal opcode"

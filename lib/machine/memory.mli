@@ -5,6 +5,23 @@
     registered MMIO window are dispatched to the owning device; everything
     else is backed by RAM.  Words are little-endian.
 
+    {2 Sparse RAM}
+
+    RAM is stored as 4 KiB pages.  Every page starts out as one shared
+    {e zero page} that is never written; a page gets bytes of its own on
+    its first store.  A device image that touches a few hundred KiB of a
+    2 MiB RAM therefore costs a few hundred KiB of host memory
+    ({!resident_bytes}).  Zeroing a page that was never written
+    ({!fill} with [0]) leaves it shared.  The page layout is invisible to
+    every accessor except {!iter_range} and {!fetch}, which hand out page
+    bytes in place instead of copying them.
+
+    {2 Device floor}
+
+    An address below the lowest mapped MMIO base is RAM, and is served
+    without walking the device list.  A window mapped inside RAM still
+    takes precedence over the RAM beneath it.
+
     Raw accessors here perform {e no} protection checks; access control is
     enforced by the CPU's protection hook before it touches memory. *)
 
@@ -21,7 +38,8 @@ type device = {
     handlers are word-aligned offsets from [base]. *)
 
 val create : size:int -> t
-(** [create ~size] allocates [size] bytes of zeroed RAM. *)
+(** [create ~size] gives [size] bytes of zeroed RAM.  It allocates only
+    the page table: every page aliases the zero page until written. *)
 
 (** {2 Fault-injection hooks}
 
@@ -43,9 +61,14 @@ val set_mmio_read_fault :
 
 val size : t -> int
 
+val resident_bytes : t -> int
+(** Host bytes of RAM pages materialised so far: 4 KiB per page written
+    at least once.  Never more than [size] rounded up to a whole page. *)
+
 val map_device : t -> device -> unit
 (** Register an MMIO window.  @raise Invalid_argument if it overlaps an
-    existing window or falls outside the address space. *)
+    existing window, is empty, or does not lie inside the 32-bit address
+    space ([base + size <= 2{^32}]). *)
 
 val device_at : t -> Word.t -> device option
 (** The device whose window covers the given address, if any. *)
@@ -67,3 +90,27 @@ val read_bytes : t -> Word.t -> int -> bytes
 
 val fill : t -> Word.t -> int -> int -> unit
 (** [fill mem addr len v] sets [len] bytes to the byte value [v]. *)
+
+(** {2 In-place access}
+
+    Like {!blit_bytes} and {!read_bytes}, these address RAM only (MMIO
+    windows are not consulted), bypass the fault hooks, and
+    @raise Invalid_argument if the range is not inside RAM. *)
+
+val init_range : t -> Word.t -> int -> (int -> char) -> unit
+(** [init_range mem addr len f] stores [f i] at [addr + i] for each [i]
+    in [\[0, len)], in order, writing the pages directly. *)
+
+val iter_range : t -> Word.t -> int -> (bytes -> pos:int -> len:int -> unit) -> unit
+(** [iter_range mem addr len f] presents the [len] bytes at [addr] in
+    place, page by page in address order: [f page ~pos ~len] for each
+    piece.  No copy is made; an unwritten page is presented as the shared
+    zero page, so [f] must not modify [page].  The shape fits a streaming
+    hash: [iter_range mem addr len (Sha1.feed_sub ctx)]. *)
+
+val fetch : t -> Word.t -> int -> (bytes -> int -> 'a) -> 'a
+(** [fetch mem addr len decode] is [decode b off] where the [len] bytes at
+    [addr] are [b.\[off .. off+len-1\]].  When they lie in one page [b]
+    is that page itself, so the common case copies and allocates nothing;
+    a range that straddles a page boundary is copied first.  [decode]
+    must not modify [b]. *)

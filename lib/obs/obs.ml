@@ -134,7 +134,10 @@ let genesis = Crypto.Sha256.digest_string "tytan-obs-genesis"
 let chain_step head line =
   let ctx = Crypto.Sha256.init () in
   Crypto.Sha256.feed ctx head;
-  Crypto.Sha256.feed ctx (Bytes.of_string line);
+  (* [feed_sub] only reads its input, so the line is hashed without a
+     copy. *)
+  Crypto.Sha256.feed_sub ctx (Bytes.unsafe_of_string line) ~pos:0
+    ~len:(String.length line);
   Crypto.Sha256.finalize ctx
 
 module Log = struct

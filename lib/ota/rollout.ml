@@ -64,16 +64,6 @@ type report = {
 
 let serial_of i = Printf.sprintf "dev-%05d" i
 
-let charged clock f =
-  let s1 = Crypto.Sha1.total_compressions () in
-  let s2 = Crypto.Sha256.total_compressions () in
-  let r = f () in
-  let d1 = Crypto.Sha1.total_compressions () - s1 in
-  let d2 = Crypto.Sha256.total_compressions () - s2 in
-  if d1 > 0 then Cycles.charge clock (d1 * Cost_model.crypto_per_compression);
-  if d2 > 0 then Cycles.charge clock (d2 * Cost_model.sha256_per_compression);
-  r
-
 (* The OTA chaos schedule: truncated update frames (the decoder refuses,
    the sender's retransmissions recover), counter-reset attempts (the
    hardware refuses and counts), and canaries crashing mid-swap (the
@@ -283,7 +273,7 @@ let attest_gate ~controller_clock ~wave (cohort : dev list) ~expected ~truncated
           (fun v ->
             List.iter
               (fun frame ->
-                charged controller_clock (fun () -> Verifier.on_frame v frame))
+                Cost_model.charged controller_clock (fun () -> Verifier.on_frame v frame))
               frames;
             match Verifier.poll v ~at with
             | Some frame -> Link.send d.link ~from:Link.Remote ~at frame
@@ -370,10 +360,10 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
         (* Device-side boot-time key derivation, charged to the device;
            the controller derives its copy from the registry side. *)
         let device_ka =
-          charged device_clock (fun () -> Attestation.derive_ka ~platform_key)
+          Cost_model.charged device_clock (fun () -> Attestation.derive_ka ~platform_key)
         in
         let ka =
-          charged controller_clock (fun () ->
+          Cost_model.charged controller_clock (fun () ->
               Attestation.derive_ka ~platform_key)
         in
         let counter =
@@ -473,7 +463,7 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
             (fun d ->
               let seq = (wave_idx * 10_000) + d.index in
               let mac =
-                charged controller_clock (fun () ->
+                Cost_model.charged controller_clock (fun () ->
                     Attestation.update_mac ~ka:d.ka ~id ~version:w.version
                       ~size ~digest)
               in

@@ -92,20 +92,6 @@ type report = {
 
 let serial_of i = Printf.sprintf "dev-%05d" i
 
-(* Crypto cycles are charged by sampling the calling domain's
-   compression counters around an operation — SHA-1 and SHA-256 at
-   their respective per-compression rates.  Domain-local counters so a
-   worker's charge never includes another domain's hashing. *)
-let charged_on clock f =
-  let s1 = Crypto.Sha1.domain_compressions () in
-  let s2 = Crypto.Sha256.domain_compressions () in
-  let r = f () in
-  let d1 = Crypto.Sha1.domain_compressions () - s1 in
-  let d2 = Crypto.Sha256.domain_compressions () - s2 in
-  if d1 > 0 then Cycles.charge clock (d1 * Cost_model.crypto_per_compression);
-  if d2 > 0 then Cycles.charge clock (d2 * Cost_model.sha256_per_compression);
-  r
-
 (* The device-fault schedule: image tampers (a flipped firmware bit —
    the device then honestly refuses the reference identity), permanent
    kills and one-epoch hangs, pinned to epochs via [at_tick].  Built
@@ -222,7 +208,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
         let platform_key = Registry.platform_key registry ~serial in
         (* Device-side boot-time key derivation, same in every mode. *)
         let ka =
-          charged_on device_clock (fun () ->
+          Cost_model.charged device_clock (fun () ->
               Attestation.derive_ka ~platform_key)
         in
         {
@@ -343,7 +329,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
             if not (silent p ~epoch) then
               if Task_id.equal id p.loaded then begin
                 let mac =
-                  charged_on clock (fun () ->
+                  Cost_model.charged clock (fun () ->
                       Attestation.expected_mac ~ka:p.ka ~id ~nonce)
                 in
                 Link.send p.link ~from:Link.Device ~at
@@ -385,7 +371,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
           let p = provers.(d) in
           let platform_key = Registry.platform_key registry ~serial:p.serial in
           p.ka <-
-            charged_on device_clock (fun () ->
+            Cost_model.charged device_clock (fun () ->
                 Attestation.derive_ka ~platform_key)
         end)
       churn.(e);
@@ -445,7 +431,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
                      session re-derives the device's Ka from the
                      registry and re-runs the HMAC check itself. *)
                   let ka =
-                    charged_on wver.(w) (fun () ->
+                    Cost_model.charged wver.(w) (fun () ->
                         Registry.attestation_key registry ~serial:p.serial)
                   in
                   Verifier.create ~ka ~expected:fw_id ~backoff
@@ -495,7 +481,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
                        wrapping it here would double-count. *)
                     (match aggregator with
                     | None ->
-                        charged_on wver.(w) (fun () ->
+                        Cost_model.charged wver.(w) (fun () ->
                             Verifier.on_frame v frame)
                     | Some _ -> Verifier.on_frame v frame);
                     if
@@ -603,7 +589,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
               let healthy =
                 match (stash.(d), Verifier.outcome (Option.get sessions.(d))) with
                 | Some report, Verifier.Attested ->
-                    charged_on verifier_clock (fun () ->
+                    Cost_model.charged verifier_clock (fun () ->
                         let ka =
                           Registry.attestation_key registry
                             ~serial:provers.(d).serial
@@ -630,7 +616,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
                    with
                   | Some report, Verifier.Attested ->
                       if
-                        charged_on wver.(w) (fun () ->
+                        Cost_model.charged wver.(w) (fun () ->
                             let ka =
                               Registry.attestation_key registry
                                 ~serial:provers.(d).serial

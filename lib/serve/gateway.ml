@@ -156,18 +156,6 @@ type t = {
 
 let serial_of i = Printf.sprintf "dev-%05d" i
 
-(* Crypto cycles charged by sampling the global compression counters —
-   the same discipline as [Swarm.charged]. *)
-let charged clock f =
-  let s1 = Crypto.Sha1.total_compressions () in
-  let s2 = Crypto.Sha256.total_compressions () in
-  let r = f () in
-  let d1 = Crypto.Sha1.total_compressions () - s1 in
-  let d2 = Crypto.Sha256.total_compressions () - s2 in
-  if d1 > 0 then Cycles.charge clock (d1 * Cost_model.crypto_per_compression);
-  if d2 > 0 then Cycles.charge clock (d2 * Cost_model.sha256_per_compression);
-  r
-
 (* The gateway-layer chaos schedule: correlated outages, wedged devices
    and deadline-crossing replies, seeded like [Swarm.fault_events] so
    the whole campaign stays a pure function of its tuple. *)
@@ -218,7 +206,7 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
   let corrupt_percent = if faults then 3 else 0 in
   let index_of = Hashtbl.create (devices * 2) in
   let genesis =
-    charged device_clock (fun () -> Attestation.cf_genesis ~id:fw_id)
+    Cost_model.charged device_clock (fun () -> Attestation.cf_genesis ~id:fw_id)
   in
   let provers =
     Array.init devices (fun i ->
@@ -234,7 +222,7 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
         in
         let platform_key = Registry.platform_key registry ~serial in
         let ka =
-          charged device_clock (fun () -> Attestation.derive_ka ~platform_key)
+          Cost_model.charged device_clock (fun () -> Attestation.derive_ka ~platform_key)
         in
         {
           serial;
@@ -432,7 +420,7 @@ let lookup_store t ~serial =
   | None ->
       if Hashtbl.length t.store >= t.cfg.store_capacity then evict_lru t;
       let ka =
-        charged t.clock (fun () -> Registry.attestation_key t.registry ~serial)
+        Cost_model.charged t.clock (fun () -> Registry.attestation_key t.registry ~serial)
       in
       t.key_derivations <- t.key_derivations + 1;
       let st =
@@ -650,7 +638,7 @@ let route t (p : prover) frame =
           (match s.s_kind with
           | Batched -> Verifier.on_frame s.verifier frame
           | Static | Cfa ->
-              charged t.clock (fun () -> Verifier.on_frame s.verifier frame)))
+              Cost_model.charged t.clock (fun () -> Verifier.on_frame s.verifier frame)))
 
 let inject_frame t ~device frame =
   if device < 0 || device >= Array.length t.provers then
@@ -671,7 +659,7 @@ let prover_step t (p : prover) =
         | Ok (Protocol.Challenge { seq; id; nonce }) ->
             if Task_id.equal id p.id then begin
               let mac =
-                charged t.device_clock (fun () ->
+                Cost_model.charged t.device_clock (fun () ->
                     Attestation.expected_mac ~ka:p.ka ~id ~nonce)
               in
               Link.send p.link ~from:Link.Device ~at:reply_at
@@ -687,7 +675,7 @@ let prover_step t (p : prover) =
               (* Quiescent device: the honest answer is the empty log,
                  anchored at the genesis digest. *)
               let mac =
-                charged t.device_clock (fun () ->
+                Cost_model.charged t.device_clock (fun () ->
                     Attestation.expected_cfa_mac ~ka:p.ka ~id ~nonce
                       ~cf_digest:t.genesis ~base_digest:t.genesis ~edge_count:0)
               in

@@ -400,6 +400,65 @@ let gating_tests =
             lines));
   ]
 
+(* --- Crypto charging is per domain --------------------------------------- *)
+
+(* Run [f] while another domain hashes flat out.  Returns [f]'s result
+   and whether the other domain's hashing really overlapped [f]: the
+   process-wide counters then moved further than this domain's. *)
+let with_background_hashing f =
+  let stop = Atomic.make false and started = Atomic.make false in
+  let hasher =
+    Domain.spawn (fun () ->
+        let block = Bytes.make 256 'x' in
+        while not (Atomic.get stop) do
+          ignore (Tytan_crypto.Sha1.digest block);
+          ignore (Tytan_crypto.Sha256.digest block);
+          Atomic.set started true
+        done)
+  in
+  while not (Atomic.get started) do Domain.cpu_relax () done;
+  let g0 = Tytan_crypto.Sha1.total_compressions ()
+  and d0 = Tytan_crypto.Sha1.domain_compressions () in
+  let r = Fun.protect ~finally:(fun () -> Atomic.set stop true; Domain.join hasher) f in
+  let global = Tytan_crypto.Sha1.total_compressions () - g0
+  and mine = Tytan_crypto.Sha1.domain_compressions () - d0 in
+  (r, global > mine)
+
+let ota_wave v =
+  { Tytan_ota.Rollout.label = Printf.sprintf "clean-%d" v; version = v;
+    image = Tytan_tasks.Task_lib.yielder ~count:(2 + v) () }
+
+let run_rollout () =
+  Tytan_ota.Rollout.run ~devices:6 ~canary:2 ~seed:4
+    ~platform_key_of:(fun ~serial ->
+      Tytan_crypto.Sha1.digest (Bytes.of_string ("test-platform-key:" ^ serial)))
+    ~incumbent:(Tytan_tasks.Task_lib.counter ())
+    [ ota_wave 1; ota_wave 2 ]
+
+(* [run] must render the same whether or not another domain hashes
+   meanwhile.  A crowded run can finish before the other domain is
+   scheduled, so runs repeat until one really overlapped. *)
+let check_crowded ~render run =
+  let alone = render (run ()) in
+  let rec go tries =
+    let crowded, overlapped = with_background_hashing run in
+    check_bool "byte-identical report" true (alone = render crowded);
+    if not overlapped then
+      if tries = 0 then Alcotest.fail "the other domain never hashed during a run"
+      else go (tries - 1)
+  in
+  go 50
+
+let charging_tests =
+  [
+    Alcotest.test_case "gateway report ignores another domain's hashing" `Quick
+      (fun () ->
+        check_crowded ~render:Gateway.to_string (fun () ->
+            Gateway.run ~devices:24 ~slices:120 ~arrival_permille:3000 ~seed:7 ()));
+    Alcotest.test_case "rollout report ignores another domain's hashing" `Quick
+      (fun () -> check_crowded ~render:Tytan_ota.Rollout.to_string run_rollout);
+  ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -408,4 +467,5 @@ let () =
       ("fuzz", fuzz_tests);
       ("link", link_tests);
       ("gating", gating_tests);
+      ("charging", charging_tests);
     ]
