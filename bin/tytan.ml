@@ -27,6 +27,48 @@ let make_platform baseline =
 let baseline_flag =
   Arg.(value & flag & info [ "baseline" ] ~doc:"Unmodified FreeRTOS (no TyTAN).")
 
+(* --- shared campaign options ------------------------------------------------ *)
+
+(* A bad command line: say why on stderr and exit 124, the code every
+   command reserves for invalid arguments. *)
+let usage fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("tytan: " ^ msg);
+      exit 124)
+    fmt
+
+let seed_arg ?(doc = "Campaign PRNG seed.") () =
+  Arg.(value & opt int 1 & info [ "seed" ] ~doc)
+
+let devices_arg ~default ?(doc = "Fleet size.") () =
+  Arg.(value & opt int default & info [ "devices" ] ~doc)
+
+let faults_arg ~doc = Arg.(value & flag & info [ "faults" ] ~doc)
+
+let loss_arg ?(default = 10) ?(doc = "Uplink frame loss, percent.") () =
+  Arg.(value & opt int default & info [ "loss" ] ~doc)
+
+let verify_arg =
+  Arg.(
+    value & flag
+    & info [ "verify" ] ~doc:"Run the campaign twice and compare reports.")
+
+(* Run a campaign and print its report.  Under --verify, run it again
+   and exit 1 unless the second report is identical. *)
+let reproduce ~run ~to_string ~equal verify =
+  let report = run () in
+  print_string (to_string report);
+  if verify then begin
+    if equal report (run ()) then
+      print_endline "reproducibility: second run identical (same digest)"
+    else begin
+      print_endline "reproducibility: RUNS DIVERGED";
+      exit 1
+    end
+  end;
+  report
+
 (* --- boot ----------------------------------------------------------------- *)
 
 let boot baseline =
@@ -315,23 +357,13 @@ let fleet devices epochs seed faults mode loss rollout domains steady churn
     | "scalar" -> Swarm.Scalar
     | "batched" -> Swarm.Batched
     | "incremental" -> Swarm.Incremental
-    | other ->
-        Printf.eprintf
-          "tytan: unknown fleet mode %S (scalar|batched|incremental)\n" other;
-        exit 124
+    | other -> usage "unknown fleet mode %S (scalar|batched|incremental)" other
   in
-  if steady && mode <> Swarm.Incremental then begin
-    prerr_endline "tytan: --steady requires --mode incremental";
-    exit 124
-  end;
-  if domains < 1 then begin
-    prerr_endline "tytan: --domains must be at least 1";
-    exit 124
-  end;
-  if churn < 0 || churn > 1000 then begin
-    prerr_endline "tytan: --churn must be in 0..1000 (permille)";
-    exit 124
-  end;
+  if steady && mode <> Swarm.Incremental then
+    usage "--steady requires --mode incremental";
+  if domains < 1 then usage "--domains must be at least 1";
+  if churn < 0 || churn > 1000 then
+    usage "--churn must be in 0..1000 (permille)";
   let rollout =
     match rollout with
     | "none" -> None
@@ -341,25 +373,14 @@ let fleet devices epochs seed faults mode loss rollout domains steady churn
           (Tasks.key_leaker
              ~receiver:(Task_id.of_image (Bytes.of_string "exfil-sink"))
              ())
-    | other ->
-        Printf.eprintf "tytan: unknown rollout %S (none|clean|leaky)\n" other;
-        exit 124
+    | other -> usage "unknown rollout %S (none|clean|leaky)" other
   in
-  let run () =
-    Swarm.run ~mode ~devices ~epochs ~seed ~faults ~loss_percent:loss ?rollout
-      ~domains ~steady ~churn_permille:churn ()
+  let report =
+    reproduce ~to_string:Swarm.to_string ~equal:Swarm.equal verify
+      ~run:(fun () ->
+        Swarm.run ~mode ~devices ~epochs ~seed ~faults ~loss_percent:loss
+          ?rollout ~domains ~steady ~churn_permille:churn ())
   in
-  let report = run () in
-  print_string (Swarm.to_string report);
-  if verify then begin
-    let again = run () in
-    if Swarm.equal report again then
-      print_endline "reproducibility: second run identical (same digest)"
-    else begin
-      print_endline "reproducibility: RUNS DIVERGED";
-      exit 1
-    end
-  end;
   (* A session that never settled is the campaign engine's own failure,
      faults or no faults — CI gates on it. *)
   if Swarm.campaign_failed report then begin
@@ -372,22 +393,14 @@ let fleet devices epochs seed faults mode loss rollout domains steady churn
   if (not report.Swarm.survived) && not faults then exit 2
 
 let fleet_cmd =
-  let devices =
-    Arg.(value & opt int 64 & info [ "devices" ] ~doc:"Fleet size.")
-  in
   let epochs =
     Arg.(value & opt int 4 & info [ "epochs" ] ~doc:"Fresh-nonce attestation rounds.")
   in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Campaign PRNG seed.")
-  in
   let faults =
-    Arg.(
-      value & flag
-      & info [ "faults" ]
-          ~doc:
-            "Inject a seeded device-fault schedule (firmware tampers, kills, \
-             one-epoch hangs) and link corruption/duplication/reordering.")
+    faults_arg
+      ~doc:
+        "Inject a seeded device-fault schedule (firmware tampers, kills, \
+         one-epoch hangs) and link corruption/duplication/reordering."
   in
   let mode =
     Arg.(
@@ -397,9 +410,6 @@ let fleet_cmd =
             "Verifier engine: batched (aggregator, tree rebuilt per epoch), \
              incremental (persistent Merkle leaves, dirty-path recompute, \
              sparse epoch deltas) or scalar (stateless baseline).")
-  in
-  let loss =
-    Arg.(value & opt int 10 & info [ "loss" ] ~doc:"Uplink frame loss, percent.")
   in
   let rollout =
     Arg.(
@@ -436,11 +446,6 @@ let fleet_cmd =
             "Reboot this permille of the fleet per epoch on a seeded \
              schedule (forces re-challenge in steady state).")
   in
-  let verify =
-    Arg.(
-      value & flag
-      & info [ "verify" ] ~doc:"Run the campaign twice and compare reports.")
-  in
   Cmd.v
     (Cmd.info "fleet"
        ~doc:
@@ -450,8 +455,8 @@ let fleet_cmd =
           (--mode incremental, optionally --steady), or the scalar baseline \
           (--mode scalar); --domains D shards verification bit-identically")
     Term.(
-      const fleet $ devices $ epochs $ seed $ faults $ mode $ loss $ rollout
-      $ domains $ steady $ churn $ verify)
+      const fleet $ devices_arg ~default:64 () $ epochs $ seed_arg () $ faults
+      $ mode $ loss_arg () $ rollout $ domains $ steady $ churn $ verify_arg)
 
 (* --- serve ----------------------------------------------------------------- *)
 
@@ -461,25 +466,14 @@ let serve devices slices rate seed faults loss arrival think verify =
     match arrival with
     | "open" -> Gateway.Open_loop
     | "closed" -> Gateway.Closed_loop { think }
-    | other ->
-        Printf.eprintf "tytan: unknown arrival mode %S (open|closed)\n" other;
-        exit 124
+    | other -> usage "unknown arrival mode %S (open|closed)" other
   in
-  let run () =
-    Gateway.run ~devices ~slices ~arrival_permille:rate ~seed ~faults
-      ~loss_percent:loss ~arrival ()
+  let report =
+    reproduce ~to_string:Gateway.to_string ~equal:Gateway.equal verify
+      ~run:(fun () ->
+        Gateway.run ~devices ~slices ~arrival_permille:rate ~seed ~faults
+          ~loss_percent:loss ~arrival ())
   in
-  let report = run () in
-  print_string (Gateway.to_string report);
-  if verify then begin
-    let again = run () in
-    if Gateway.equal report again then
-      print_endline "reproducibility: second run identical (same digest)"
-    else begin
-      print_endline "reproducibility: RUNS DIVERGED";
-      exit 1
-    end
-  end;
   (* The gateway's structural invariants: the pending queue never grows
      past its bound, and every admitted session reaches a verdict.
      Either failing is a gateway bug, not an experiment outcome. *)
@@ -492,9 +486,6 @@ let serve devices slices rate seed faults loss arrival think verify =
   end
 
 let serve_cmd =
-  let devices =
-    Arg.(value & opt int 256 & info [ "devices" ] ~doc:"Fleet size.")
-  in
   let slices =
     Arg.(
       value & opt int 512
@@ -506,19 +497,11 @@ let serve_cmd =
       & info [ "arrival-rate" ]
           ~doc:"Offered load: session arrivals per 1000 slices.")
   in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Campaign PRNG seed.")
-  in
   let faults =
-    Arg.(
-      value & flag
-      & info [ "faults" ]
-          ~doc:
-            "Inject a seeded network-fault schedule (burst loss, device \
-             stalls, late replies) and link corruption/duplication/reordering.")
-  in
-  let loss =
-    Arg.(value & opt int 10 & info [ "loss" ] ~doc:"Uplink frame loss, percent.")
+    faults_arg
+      ~doc:
+        "Inject a seeded network-fault schedule (burst loss, device \
+         stalls, late replies) and link corruption/duplication/reordering."
   in
   let arrival =
     Arg.(
@@ -535,11 +518,6 @@ let serve_cmd =
       & info [ "think" ]
           ~doc:"Closed-loop think time, slices between settle and next ask.")
   in
-  let verify =
-    Arg.(
-      value & flag
-      & info [ "verify" ] ~doc:"Run the campaign twice and compare reports.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -547,41 +525,43 @@ let serve_cmd =
           admission control, per-device rate limits, deadlines, circuit \
           breakers and graceful load shedding over lossy links")
     Term.(
-      const serve $ devices $ slices $ rate $ seed $ faults $ loss $ arrival
-      $ think $ verify)
+      const serve $ devices_arg ~default:256 () $ slices $ rate $ seed_arg ()
+      $ faults $ loss_arg () $ arrival $ think $ verify_arg)
 
 (* --- ota -------------------------------------------------------------------- *)
 
-let ota devices epochs canary seed faults loss stale leaky verify =
+module Rollout = Tytan_ota.Rollout
+
+(* Clean wave [k] carries distinct code bytes (the yield count is an
+   immediate), so every promotion changes the fleet's attested
+   identity. *)
+let clean_wave k =
+  { Rollout.label = Printf.sprintf "clean-%d" k;
+    version = k;
+    image = Tasks.yielder ~count:(2 + k) () }
+
+(* A rollback attempt: version 1's image offered again. *)
+let stale_wave () = { (clean_wave 1) with Rollout.label = "stale-replay" }
+
+(* The OTA fleet's platform keys, as the manufacturer's registry for
+   campaign [seed] derives them. *)
+let fleet_platform_key seed =
   let module Registry = Tytan_provision.Registry in
-  let module Rollout = Tytan_ota.Rollout in
-  if devices <= 0 then begin
-    prerr_endline "tytan: --devices must be positive";
-    exit 124
-  end;
-  if epochs <= 0 then begin
-    prerr_endline "tytan: --epochs must be positive";
-    exit 124
-  end;
-  if canary <= 0 || canary > devices then begin
-    prerr_endline "tytan: --canary must be in 1..devices";
-    exit 124
-  end;
-  let incumbent = Tasks.counter () in
-  let clean k =
-    (* Distinct code bytes per wave (the yield count is an immediate),
-       so every promotion changes the fleet's attested identity. *)
-    { Rollout.label = Printf.sprintf "clean-%d" k;
-      version = k;
-      image = Tasks.yielder ~count:(2 + k) () }
+  let registry =
+    Registry.create
+      ~master:
+        (Bytes.of_string (Printf.sprintf "fleet-master-%08x" (seed land 0xFFFF_FFFF)))
   in
+  fun ~serial -> Registry.platform_key registry ~serial
+
+let ota devices epochs canary seed faults loss stale leaky verify =
+  if devices <= 0 then usage "--devices must be positive";
+  if epochs <= 0 then usage "--epochs must be positive";
+  if canary <= 0 || canary > devices then usage "--canary must be in 1..devices";
+  let incumbent = Tasks.counter () in
   let waves =
-    List.init epochs (fun i -> clean (i + 1))
-    @ (if stale then
-         [ { Rollout.label = "stale-replay";
-             version = 1;
-             image = Tasks.yielder ~count:3 () } ]
-       else [])
+    List.init epochs (fun i -> clean_wave (i + 1))
+    @ (if stale then [ stale_wave () ] else [])
     @
     if leaky then
       [ { Rollout.label = "leaky";
@@ -592,27 +572,12 @@ let ota devices epochs canary seed faults loss stale leaky verify =
               () } ]
     else []
   in
-  let run () =
-    let master =
-      Bytes.of_string
-        (Printf.sprintf "fleet-master-%08x" (seed land 0xFFFF_FFFF))
-    in
-    let registry = Registry.create ~master in
-    Rollout.run ~devices ~canary ~seed ~faults ~loss_percent:loss
-      ~platform_key_of:(fun ~serial -> Registry.platform_key registry ~serial)
-      ~incumbent waves
+  let report =
+    reproduce ~to_string:Rollout.to_string ~equal:Rollout.equal verify
+      ~run:(fun () ->
+        Rollout.run ~devices ~canary ~seed ~faults ~loss_percent:loss
+          ~platform_key_of:(fleet_platform_key seed) ~incumbent waves)
   in
-  let report = run () in
-  print_string (Rollout.to_string report);
-  if verify then begin
-    let again = run () in
-    if Rollout.equal report again then
-      print_endline "reproducibility: second run identical (same digest)"
-    else begin
-      print_endline "reproducibility: RUNS DIVERGED";
-      exit 1
-    end
-  end;
   (* A device verdict that never settled is the rollout engine's own
      failure, faults or no faults. *)
   if Rollout.campaign_failed report then begin
@@ -625,9 +590,6 @@ let ota devices epochs canary seed faults loss stale leaky verify =
   if (not report.Rollout.survived) && not faults then exit 2
 
 let ota_cmd =
-  let devices =
-    Arg.(value & opt int 24 & info [ "devices" ] ~doc:"Fleet size.")
-  in
   let epochs =
     Arg.(
       value & opt int 3
@@ -643,20 +605,12 @@ let ota_cmd =
              and re-attesting.  --canary equal to --devices is a flat \
              (ungated) rollout.")
   in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Campaign PRNG seed.")
-  in
   let faults =
-    Arg.(
-      value & flag
-      & info [ "faults" ]
-          ~doc:
-            "Inject a seeded OTA fault schedule (truncated update frames, \
-             counter-reset attempts, canary crashes mid-swap) and link \
-             corruption/duplication/reordering.")
-  in
-  let loss =
-    Arg.(value & opt int 10 & info [ "loss" ] ~doc:"Uplink frame loss, percent.")
+    faults_arg
+      ~doc:
+        "Inject a seeded OTA fault schedule (truncated update frames, \
+         counter-reset attempts, canary crashes mid-swap) and link \
+         corruption/duplication/reordering."
   in
   let stale =
     Arg.(
@@ -676,11 +630,6 @@ let ota_cmd =
              it on-device and the wave aborts before any non-canary stages a \
              byte.")
   in
-  let verify =
-    Arg.(
-      value & flag
-      & info [ "verify" ] ~doc:"Run the campaign twice and compare reports.")
-  in
   Cmd.v
     (Cmd.info "ota"
        ~doc:
@@ -690,8 +639,8 @@ let ota_cmd =
           attestation, and fleet-wide abort with quarantine on any gate \
           failure")
     Term.(
-      const ota $ devices $ epochs $ canary $ seed $ faults $ loss $ stale
-      $ leaky $ verify)
+      const ota $ devices_arg ~default:24 () $ epochs $ canary $ seed_arg ()
+      $ faults $ loss_arg () $ stale $ leaky $ verify_arg)
 
 (* --- audit ----------------------------------------------------------------- *)
 
@@ -706,31 +655,17 @@ let write_text path text =
 let audit devices slices canary seed faults trail slo verify_chain tamper
     json_path perfetto_path =
   let module Gateway = Tytan_serve.Gateway in
-  let module Registry = Tytan_provision.Registry in
   let module Swarm = Tytan_provision.Swarm in
-  let module Rollout = Tytan_ota.Rollout in
-  if devices <= 0 then begin
-    prerr_endline "tytan: --devices must be positive";
-    exit 124
-  end;
-  if slices <= 0 then begin
-    prerr_endline "tytan: --slices must be positive";
-    exit 124
-  end;
-  if canary <= 0 || canary > devices then begin
-    prerr_endline "tytan: --canary must be in 1..devices";
-    exit 124
-  end;
+  if devices <= 0 then usage "--devices must be positive";
+  if slices <= 0 then usage "--slices must be positive";
+  if canary <= 0 || canary > devices then usage "--canary must be in 1..devices";
   let tamper_kind =
     match tamper with
     | "" -> None
     | "truncate" -> Some Obs.Log.Truncate
     | "splice" -> Some Obs.Log.Splice
     | "bitflip" -> Some (Obs.Log.Bit_flip (seed land 0xFFFF))
-    | other ->
-        Printf.eprintf "tytan: unknown tamper %S (truncate|splice|bitflip)\n"
-          other;
-        exit 124
+    | other -> usage "unknown tamper %S (truncate|splice|bitflip)" other
   in
   (* One flight recorder across all three fleet engines: a gateway
      campaign, a staged OTA campaign whose final stale wave aborts and
@@ -741,28 +676,12 @@ let audit devices slices canary seed faults trail slo verify_chain tamper
     Gateway.run ~devices ~slices ~arrival_permille:4000 ~seed ~faults
       ~loss_percent:10 ~obs:log ()
   in
-  let master =
-    Bytes.of_string (Printf.sprintf "fleet-master-%08x" (seed land 0xFFFF_FFFF))
-  in
-  let registry = Registry.create ~master in
   let ota_devices = min devices 24 in
-  let ota_canary = min canary ota_devices in
-  let clean k =
-    { Rollout.label = Printf.sprintf "clean-%d" k;
-      version = k;
-      image = Tasks.yielder ~count:(2 + k) () }
-  in
-  let waves =
-    [ clean 1; clean 2;
-      { Rollout.label = "stale-replay";
-        version = 1;
-        image = Tasks.yielder ~count:3 () } ]
-  in
   let ota_report =
-    Rollout.run ~devices:ota_devices ~canary:ota_canary ~seed ~faults
-      ~loss_percent:10 ~obs:log
-      ~platform_key_of:(fun ~serial -> Registry.platform_key registry ~serial)
-      ~incumbent:(Tasks.counter ()) waves
+    Rollout.run ~devices:ota_devices ~canary:(min canary ota_devices) ~seed
+      ~faults ~loss_percent:10 ~obs:log
+      ~platform_key_of:(fleet_platform_key seed) ~incumbent:(Tasks.counter ())
+      [ clean_wave 1; clean_wave 2; stale_wave () ]
   in
   let swarm_report =
     Swarm.run ~mode:Swarm.Batched ~devices:(min devices 32) ~epochs:2 ~seed
@@ -806,10 +725,8 @@ let audit devices slices canary seed faults trail slo verify_chain tamper
   (match trail with
   | "" -> ()
   | corr ->
-      if not (List.mem_assoc corr (Obs.Log.corr_ids log)) then begin
-        Printf.eprintf "tytan: unknown correlation id %S\n" corr;
-        exit 124
-      end;
+      if not (List.mem_assoc corr (Obs.Log.corr_ids log)) then
+        usage "unknown correlation id %S" corr;
       let members = Obs.Trail.members log ~corr in
       let recs = Obs.Trail.trace log ~corr in
       Printf.printf "trail %s: %d members, %d records\n" corr
@@ -876,9 +793,6 @@ let audit devices slices canary seed faults trail slo verify_chain tamper
   end
 
 let audit_cmd =
-  let devices =
-    Arg.(value & opt int 64 & info [ "devices" ] ~doc:"Gateway fleet size.")
-  in
   let slices =
     Arg.(
       value & opt int 256
@@ -886,15 +800,6 @@ let audit_cmd =
   in
   let canary =
     Arg.(value & opt int 4 & info [ "canary" ] ~doc:"OTA canary cohort size.")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Campaign PRNG seed.")
-  in
-  let faults =
-    Arg.(
-      value & flag
-      & info [ "faults" ]
-          ~doc:"Inject the seeded fault schedules in all three campaigns.")
   in
   let trail =
     Arg.(
@@ -954,8 +859,11 @@ let audit_cmd =
           windowed SLO indicators, and tamper-evident hash-chain \
           verification of the exported trail")
     Term.(
-      const audit $ devices $ slices $ canary $ seed $ faults $ trail $ slo
-      $ verify_chain $ tamper $ json_path $ perfetto_path)
+      const audit
+      $ devices_arg ~default:64 ~doc:"Gateway fleet size." ()
+      $ slices $ canary $ seed_arg ()
+      $ faults_arg ~doc:"Inject the seeded fault schedules in all three campaigns."
+      $ trail $ slo $ verify_chain $ tamper $ json_path $ perfetto_path)
 
 (* --- lint ------------------------------------------------------------------ *)
 
@@ -1188,34 +1096,17 @@ let lint_cmd =
 (* --- chaos ----------------------------------------------------------------- *)
 
 let chaos seed ticks verify =
-  if ticks < 30 then begin
-    prerr_endline "tytan: chaos needs a fault window of at least 30 ticks";
-    exit 124
-  end;
-  let report = Tytan_fault.Chaos.run ~seed ~ticks () in
-  print_string (Tytan_fault.Chaos.to_string report);
-  if verify then begin
-    let again = Tytan_fault.Chaos.run ~seed ~ticks () in
-    if again = report then
-      print_endline "reproducibility: second run identical (same digest)"
-    else begin
-      print_endline "reproducibility: RUNS DIVERGED";
-      exit 1
-    end
-  end;
-  if not report.Tytan_fault.Chaos.survived then exit 2
+  let module Chaos = Tytan_fault.Chaos in
+  if ticks < 30 then usage "chaos needs a fault window of at least 30 ticks";
+  let report =
+    reproduce ~to_string:Chaos.to_string ~equal:( = ) verify
+      ~run:(fun () -> Chaos.run ~seed ~ticks ())
+  in
+  if not report.Chaos.survived then exit 2
 
 let chaos_cmd =
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Fault-plan PRNG seed.")
-  in
   let ticks =
     Arg.(value & opt int 40 & info [ "ticks" ] ~doc:"Fault-window length, ticks.")
-  in
-  let verify =
-    Arg.(
-      value & flag
-      & info [ "verify" ] ~doc:"Run the campaign twice and compare reports.")
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -1223,7 +1114,8 @@ let chaos_cmd =
          "Run a seeded fault-injection campaign (bit flips, glitches, \
           interrupt storms, task kills and hangs over a hostile link) and \
           print the survival report")
-    Term.(const chaos $ seed $ ticks $ verify)
+    Term.(
+      const chaos $ seed_arg ~doc:"Fault-plan PRNG seed." () $ ticks $ verify_arg)
 
 (* --- cfa ------------------------------------------------------------------- *)
 
@@ -1363,9 +1255,7 @@ let cfa_cmd =
       & info [ "attack-ticks" ] ~doc:"Ticks to run after the exploit.")
   in
   let loss =
-    Arg.(
-      value & opt int 30
-      & info [ "loss" ] ~doc:"Frame loss on the verification link, percent.")
+    loss_arg ~default:30 ~doc:"Frame loss on the verification link, percent." ()
   in
   let local =
     Arg.(

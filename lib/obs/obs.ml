@@ -93,24 +93,6 @@ module Event = struct
           Printf.sprintf "indicator=%s window=%d value=%d threshold=%d"
             indicator window value threshold
       | Note { label } -> Printf.sprintf "label=%s" label)
-
-  let serial_of = function
-    | Session_admitted { serial; _ }
-    | Session_shed { serial; _ }
-    | Session_settled { serial; _ }
-    | Breaker_tripped { serial }
-    | Quarantined { serial }
-    | Evicted { serial }
-    | Offer_sent { serial; _ }
-    | Transfer_staged { serial }
-    | Swap_applied { serial; _ }
-    | Update_refused { serial; _ }
-    | Verdict_settled { serial; _ } ->
-        Some serial
-    | Frame_sent _ | Frame_received _ | Epoch_opened _ | Epoch_sealed _
-    | Wave_opened _ | Wave_promoted _ | Wave_aborted _ | Slo_breach _ | Note _
-      ->
-        None
 end
 
 type record = {

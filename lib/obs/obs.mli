@@ -52,9 +52,6 @@ module Event : sig
 
   val render : t -> string
   (** Deterministic one-line field rendering (no tabs or newlines). *)
-
-  val serial_of : t -> string option
-  (** The device serial the event is about, when it names one. *)
 end
 
 type record = {
@@ -140,6 +137,10 @@ module Slo : sig
     threshold : int;
     breached : bool;
   }
+
+  val percentile : int array -> int -> int
+  (** [percentile sorted p]: the nearest-rank [p]th percentile of an
+      ascending array, [0] when it is empty. *)
 
   val evaluate : ?spec:spec -> Log.t -> indicator list
   (** Fold the event stream into windowed indicators (shed rate, p99

@@ -36,10 +36,7 @@ type t = {
   mutable activations : int;
   mutable rollback_refusals : int;
   mutable auth_refusals : int;
-  mutable vet_refusals : int;
-  mutable digest_refusals : int;
   mutable malformed : int;
-  mutable chunks_received : int;
   mutable staged_bytes : int;
   mutable update_cycles : int;  (* device cycles burnt in OTA handling *)
   mutable last_refusal_cycles : int;
@@ -60,10 +57,7 @@ let create ~serial ~ka ~clock ~counter ~loaded ?persist () =
     activations = 0;
     rollback_refusals = 0;
     auth_refusals = 0;
-    vet_refusals = 0;
-    digest_refusals = 0;
     malformed = 0;
-    chunks_received = 0;
     staged_bytes = 0;
     update_cycles = 0;
     last_refusal_cycles = 0;
@@ -75,11 +69,8 @@ let counter t = t.counter
 let counter_value t = Devices.Monotonic_counter.value t.counter
 let activations t = t.activations
 let rollback_refusals t = t.rollback_refusals
-let vet_refusals t = t.vet_refusals
 let auth_refusals t = t.auth_refusals
-let digest_refusals t = t.digest_refusals
 let staged_bytes t = t.staged_bytes
-let chunks_received t = t.chunks_received
 let malformed t = t.malformed
 let update_cycles t = t.update_cycles
 let last_refusal_cycles t = t.last_refusal_cycles
@@ -157,7 +148,6 @@ let finalize t (tr : transfer) =
   t.transfer <- None;
   let actual = charged t (fun () -> Crypto.Sha1.digest tr.buf) in
   if not (Crypto.Constant_time.equal actual tr.digest) then begin
-    t.digest_refusals <- t.digest_refusals + 1;
     conclude t tr
       (Protocol.UpdateAck
          { seq = tr.seq; status = Protocol.Ota_refused_digest; arg = 0 })
@@ -165,7 +155,6 @@ let finalize t (tr : transfer) =
   else
     match Telf.decode tr.buf with
     | Error _ ->
-        t.digest_refusals <- t.digest_refusals + 1;
         conclude t tr
           (Protocol.UpdateAck
              { seq = tr.seq; status = Protocol.Ota_refused_digest; arg = 0 })
@@ -182,7 +171,6 @@ let finalize t (tr : transfer) =
           let verdict = Gate.vet telf in
           Cycles.charge t.clock verdict.Gate.vet_cycles;
           if not verdict.Gate.accepted then begin
-            t.vet_refusals <- t.vet_refusals + 1;
             conclude t tr
               (Protocol.UpdateAck
                  { seq = tr.seq; status = Protocol.Ota_refused_vet; arg = 0 })
@@ -218,7 +206,6 @@ let on_chunk t ~seq ~offset ~data =
   | Some tr when tr.seq <> seq -> replayed t seq
   | Some tr ->
       Cycles.charge t.clock Cost_model.ota_chunk_base;
-      t.chunks_received <- t.chunks_received + 1;
       let len = Bytes.length data in
       if offset = tr.have && offset + len <= tr.size then begin
         Bytes.blit data 0 tr.buf offset len;
@@ -258,46 +245,15 @@ let on_frame t frame =
           [ ack ]
       | Ok (Protocol.UpdateChunk { seq; offset; data }) ->
           Option.to_list (on_chunk t ~seq ~offset ~data)
-      | Ok (Protocol.Challenge { seq; id; nonce }) ->
-          if Task_id.equal id t.loaded then
-            let mac =
-              charged t (fun () -> Attestation.expected_mac ~ka:t.ka ~id ~nonce)
-            in
-            [ Protocol.Response { seq; report = { Attestation.id; nonce; mac } } ]
-          else [ Protocol.Refusal { seq } ]
-      | Ok (Protocol.CfaChallenge { seq; id; nonce }) ->
-          if Task_id.equal id t.loaded then begin
-            (* Freshly swapped and quiescent: the honest control-flow
-               answer is the empty log anchored at the new identity's
-               genesis digest. *)
-            let genesis = Attestation.cf_genesis ~id in
-            let mac =
-              charged t (fun () ->
-                  Attestation.expected_cfa_mac ~ka:t.ka ~id ~nonce
-                    ~cf_digest:genesis ~base_digest:genesis ~edge_count:0)
-            in
-            [
-              Protocol.CfaResponse
-                {
-                  seq;
-                  report =
-                    {
-                      Attestation.id;
-                      nonce;
-                      cf_digest = genesis;
-                      base_digest = genesis;
-                      edge_count = 0;
-                      edges = [||];
-                      mac;
-                    };
-                };
-            ]
-          end
-          else [ Protocol.Refusal { seq } ]
-      | Ok
-          ( Protocol.Response _ | Protocol.Refusal _ | Protocol.CfaResponse _
-          | Protocol.UpdateAck _ ) ->
-          []
+      | Ok msg ->
+          (* Freshly swapped and quiescent: the honest control-flow
+             answer is the empty log anchored at the running identity's
+             genesis digest, derived per challenge and not charged. *)
+          Option.to_list
+            (Tytan_netsim.Campaign.answer ~clock:t.clock ~ka:t.ka
+               ~loaded:t.loaded
+               ~genesis:(lazy (Attestation.cf_genesis ~id:t.loaded))
+               msg)
     in
     t.update_cycles <- t.update_cycles + (Cycles.now t.clock - start);
     reply

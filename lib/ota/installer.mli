@@ -55,11 +55,8 @@ val counter : t -> Devices.Monotonic_counter.t
 val counter_value : t -> int
 val activations : t -> int
 val rollback_refusals : t -> int
-val vet_refusals : t -> int
 val auth_refusals : t -> int
-val digest_refusals : t -> int
 val staged_bytes : t -> int
-val chunks_received : t -> int
 
 val malformed : t -> int
 (** Frames that died in the defensive decoder (truncated or corrupted)

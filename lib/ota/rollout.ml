@@ -62,8 +62,6 @@ type report = {
   survived : bool;
 }
 
-let serial_of i = Printf.sprintf "dev-%05d" i
-
 (* The OTA chaos schedule: truncated update frames (the decoder refuses,
    the sender's retransmissions recover), counter-reset attempts (the
    hardware refuses and counts), and canaries crashing mid-swap (the
@@ -73,7 +71,7 @@ let fault_events ~seed ~devices ~waves =
   let prng = Fault_plan.Prng.create (seed lxor 0x07A7) in
   List.concat
     (List.init waves (fun wave ->
-         let dev = serial_of (Fault_plan.Prng.int prng devices) in
+         let dev = Campaign.serial_of (Fault_plan.Prng.int prng devices) in
          let kind =
            match Fault_plan.Prng.int prng 5 with
            | 0 | 1 ->
@@ -93,9 +91,7 @@ type dev = {
   link : Link.t;
   ka : bytes;  (* controller-side copy of the device's Ka *)
   mutable quarantined : bool;
-  mutable strikes : int;
   mutable truncate_left : int;
-  nvm : bytes option ref;  (* sealed counter snapshot (persistence) *)
 }
 
 (* ---- one OTA transfer session (controller side) ----------------------- *)
@@ -227,9 +223,7 @@ let device_step (d : dev) ~at ~truncated =
 let attest_gate ~controller_clock ~wave (cohort : dev list) ~expected ~truncated
     =
   let backoff = Verifier.default_backoff in
-  let slice_cap =
-    16 + (10 * (backoff.Verifier.cap_slices + backoff.Verifier.jitter_slices))
-  in
+  let slice_cap = Campaign.settle_cap backoff in
   let genesis = Attestation.cf_genesis ~id:expected in
   let sessions =
     List.map
@@ -241,13 +235,7 @@ let attest_gate ~controller_clock ~wave (cohort : dev list) ~expected ~truncated
         in
         let cfa =
           Verifier.create ~ka:d.ka ~expected ~backoff ~refusals_to_settle:2
-            ~cfa:(fun (r : Attestation.cfa_report) ->
-              if
-                r.Attestation.edge_count = 0
-                && Bytes.equal r.Attestation.cf_digest genesis
-                && Bytes.equal r.Attestation.base_digest genesis
-              then Ok ()
-              else Error "non-empty control-flow log after swap")
+            ~cfa:(Campaign.quiescent ~genesis)
             ~session:(Printf.sprintf "%s/w%d/c" d.serial wave)
             ()
         in
@@ -282,17 +270,7 @@ let attest_gate ~controller_clock ~wave (cohort : dev list) ~expected ~truncated
       sessions;
     incr slice
   done;
-  List.iter
-    (fun (_, vs) ->
-      List.iter
-        (fun v ->
-          let at = ref (2 * slice_cap) in
-          while Verifier.outcome v = Verifier.Pending do
-            ignore (Verifier.poll v ~at:!at);
-            at := !at + slice_cap
-          done)
-        vs)
-    sessions;
+  List.iter (fun (_, vs) -> List.iter (Campaign.concede ~cap:slice_cap) vs) sessions;
   (* A device passes iff both its sessions attested. *)
   List.map
     (fun (d, vs) ->
@@ -313,13 +291,7 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
     waves;
   let controller_clock = Cycles.create () in
   let device_clock = Cycles.create () in
-  (* Observation must not perturb the run: zero costs, so enabling
-     telemetry leaves every clock bit-identical (the chaos campaign's
-     discipline).  Likewise the flight recorder charges nothing. *)
-  let telemetry =
-    Telemetry.create ~per_event_cost:0 ~per_span_cost:0 controller_clock
-  in
-  Telemetry.enable telemetry;
+  let telemetry = Campaign.telemetry controller_clock in
   let tally name n =
     for _ = 1 to n do
       Telemetry.incr telemetry ~component:"ota" name
@@ -328,11 +300,7 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
   (* The campaign's global slice offset: per-phase loops restart their
      local clock at 0, so flight-recorder timestamps add this base. *)
   let obs_at = ref 0 in
-  let observe ~corr ~at event =
-    match obs with
-    | None -> ()
-    | Some log -> Obs.Log.record log ~corr ~at event
-  in
+  let observe = Campaign.observe obs in
   let terminal_event ~serial ~counter = function
     | 'A' -> Some (Obs.Event.Swap_applied { serial; counter })
     | 'R' -> Some (Obs.Event.Update_refused { serial; reason = "rollback" })
@@ -343,19 +311,11 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
     | 'G' -> Some (Obs.Event.Update_refused { serial; reason = "unreachable" })
     | _ -> None
   in
-  let corrupt_percent = if faults then 3 else 0 in
   let incumbent_id = Task_id.of_image incumbent.Telf.image in
   let fleet =
     Array.init devices (fun i ->
-        let serial = serial_of i in
-        let link =
-          Link.create
-            ~seed:(((seed * 7919) + (i * 104729) + 29) land 0x3FFF_FFFF)
-            ~loss_percent ~corrupt_percent
-            ~duplicate_percent:(if faults then 2 else 0)
-            ~reorder_percent:(if faults then 2 else 0)
-            ()
-        in
+        let serial = Campaign.serial_of i in
+        let link = Campaign.link ~seed ~salt:29 ~faults ~loss_percent i in
         let platform_key = platform_key_of ~serial in
         (* Device-side boot-time key derivation, charged to the device;
            the controller derives its copy from the registry side. *)
@@ -372,47 +332,25 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
             ~read_cost:Cost_model.counter_read
             ~increment_cost:Cost_model.counter_increment ()
         in
-        let nvm = ref None in
         let installer =
           Installer.create ~serial ~ka:device_ka ~clock:device_clock ~counter
-            ~loaded:incumbent_id
-            ~persist:(fun blob -> nvm := Some blob)
-            ()
+            ~loaded:incumbent_id ()
         in
-        {
-          index = i;
-          serial;
-          installer;
-          link;
-          ka;
-          quarantined = false;
-          strikes = 0;
-          truncate_left = 0;
-          nvm;
-        })
+        { index = i; serial; installer; link; ka; quarantined = false;
+          truncate_left = 0 })
   in
   let plan =
     if faults then fault_events ~seed ~devices ~waves:(List.length waves)
     else []
   in
   let truncated = ref 0 in
-  let breaker_threshold = 1 in
-  let strike d =
-    d.strikes <- d.strikes + 1;
-    if d.strikes >= breaker_threshold then begin
-      d.strikes <- 0;
-      d.quarantined <- true
-    end
-  in
   let survived = ref true in
   let stats = ref [] in
   List.iteri
     (fun wave_idx (w : wave_spec) ->
       let wave_corr = Printf.sprintf "ota/wave-%d" wave_idx in
       let dev_corr serial = Printf.sprintf "ota/%s/w%d" serial wave_idx in
-      (match obs with
-      | Some log -> ignore (Obs.Log.mint log wave_corr)
-      | None -> ());
+      Campaign.mint obs wave_corr;
       observe ~corr:wave_corr ~at:!obs_at
         (Obs.Event.Wave_opened
            { wave = wave_idx; label = w.label; version = w.version });
@@ -472,10 +410,7 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
                   (Protocol.UpdateOffer
                      { seq; id; version = w.version; size; digest; mac })
               in
-              (match obs with
-              | Some log ->
-                  ignore (Obs.Log.mint log ~parent:wave_corr (dev_corr d.serial))
-              | None -> ());
+              Campaign.mint obs ~parent:wave_corr (dev_corr d.serial);
               observe ~corr:(dev_corr d.serial) ~at:base
                 (Obs.Event.Offer_sent
                    { serial = d.serial; version = w.version });
@@ -520,13 +455,11 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
                       observe ~corr ~at:(base + at)
                         (Obs.Event.Transfer_staged { serial = s.dev.serial });
                     match s.state with
-                    | `Done c when before <> s.state -> (
-                        match
-                          terminal_event ~serial:s.dev.serial
-                            ~counter:s.counter_after c
-                        with
-                        | Some e -> observe ~corr ~at:(base + at) e
-                        | None -> ())
+                    | `Done c when before <> s.state ->
+                        Option.iter
+                          (observe ~corr ~at:(base + at))
+                          (terminal_event ~serial:s.dev.serial
+                             ~counter:s.counter_after c)
                     | _ -> ()
                   end)
                 (Link.deliver s.dev.link ~to_:Link.Remote ~at))
@@ -540,20 +473,11 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
           (fun s ->
             match s.state with
             | `Done '?' | `Offer | `Stream ->
-                s.state <-
-                  (if Installer.crashed s.dev.installer then `Done 'X'
-                   else `Done 'G');
-                (match s.state with
-                | `Done c -> (
-                    match
-                      terminal_event ~serial:s.dev.serial
-                        ~counter:s.counter_after c
-                    with
-                    | Some e ->
-                        observe ~corr:(dev_corr s.dev.serial)
-                          ~at:(base + !slice) e
-                    | None -> ())
-                | _ -> ())
+                let c = if Installer.crashed s.dev.installer then 'X' else 'G' in
+                s.state <- `Done c;
+                Option.iter
+                  (observe ~corr:(dev_corr s.dev.serial) ~at:(base + !slice))
+                  (terminal_event ~serial:s.dev.serial ~counter:s.counter_after c)
             | `Done _ -> ())
           sessions;
         obs_at := base + !slice;
@@ -605,31 +529,21 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
       (* Phase B: promotion — or fleet-wide abort. *)
       let fleet_sessions = if gate_passed then run_phase rest else [] in
       let all_sessions = canary_sessions @ fleet_sessions in
-      (* The circuit breaker: every device that was offered this wave
-         and did not end it running the offered image takes a strike.
-         At the threshold it is quarantined — out of the fleet until an
-         operator re-provisions it. *)
+      (* The circuit breaker trips on the first strike: every device that
+         was offered this wave and did not end it running the offered
+         image is quarantined — out of the fleet until an operator
+         re-provisions it. *)
       let newly_quarantined = ref [] in
-      List.iter
-        (fun s ->
-          if s.state <> `Done 'A' then begin
-            let was = s.dev.quarantined in
-            strike s.dev;
-            if s.dev.quarantined && not was then
-              newly_quarantined := s.dev.serial :: !newly_quarantined
-          end)
-        all_sessions;
+      let quarantine d =
+        if not d.quarantined then begin
+          d.quarantined <- true;
+          newly_quarantined := d.serial :: !newly_quarantined
+        end
+      in
+      List.iter (fun s -> if s.state <> `Done 'A' then quarantine s.dev) all_sessions;
       (* Canaries that applied a wave the gate then failed are pulled
          too: they run an image the fleet aborted. *)
-      if not gate_passed then
-        List.iter
-          (fun s ->
-            if not s.dev.quarantined then begin
-              strike s.dev;
-              if s.dev.quarantined then
-                newly_quarantined := s.dev.serial :: !newly_quarantined
-            end)
-          canary_sessions;
+      if not gate_passed then List.iter (fun s -> quarantine s.dev) canary_sessions;
       let count c =
         Array.fold_left (fun n ch -> if ch = c then n + 1 else n) 0 verdict
       in
@@ -693,6 +607,9 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
         :: !stats)
     waves;
   let sum f = Array.fold_left (fun n d -> n + f d) 0 fleet in
+  let frames_sent, frames_dropped, frames_delivered =
+    Campaign.frame_totals (Array.map (fun d -> d.link) fleet)
+  in
   {
     devices;
     canary;
@@ -710,25 +627,20 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
       Array.fold_left
         (fun acc d -> max acc (Installer.last_refusal_cycles d.installer))
         0 fleet;
-    frames_sent = sum (fun d -> Link.sent_count d.link);
-    frames_dropped = sum (fun d -> Link.dropped_count d.link);
-    frames_delivered = sum (fun d -> Link.delivered_count d.link);
+    frames_sent;
+    frames_dropped;
+    frames_delivered;
     truncated_frames = !truncated;
     quarantined =
       Array.to_list fleet
       |> List.filter (fun d -> d.quarantined)
       |> List.map (fun d -> d.serial)
       |> List.sort compare;
-    telemetry =
-      List.map
-        (fun (k, v) -> (Telemetry.key_to_string k, v))
-        (Telemetry.counters telemetry);
+    telemetry = Campaign.counters telemetry;
     survived = !survived;
   }
 
 (* ---- rendering -------------------------------------------------------- *)
-
-let sha1_hex s = Crypto.Sha1.to_hex (Crypto.Sha1.digest_string s)
 
 let body r =
   let b = Buffer.create 1024 in
@@ -753,7 +665,7 @@ let body r =
       | None -> ());
       if w.newly_quarantined <> [] then
         add "  quarantined: %s\n" (String.concat " " w.newly_quarantined);
-      add "  verdicts=sha1:%s\n" (sha1_hex w.verdicts))
+      add "  verdicts=sha1:%s\n" (Campaign.sha1_hex w.verdicts))
     r.waves;
   let cmin = List.fold_left min max_int r.counters in
   let cmax = List.fold_left max 0 r.counters in
@@ -770,11 +682,8 @@ let body r =
   add "survived: %s\n" (if r.survived then "yes" else "no");
   Buffer.contents b
 
-let to_string r =
-  let body = body r in
-  body ^ Printf.sprintf "digest: sha1:%s\n" (sha1_hex body)
-
-let equal a b = to_string a = to_string b
+let to_string = Campaign.to_string body
+let equal = Campaign.equal body
 
 let verdicts r = List.map (fun w -> w.verdicts) r.waves
 

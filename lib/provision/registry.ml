@@ -14,8 +14,5 @@ let platform_key t ~serial =
 let attestation_key t ~serial =
   Attestation.derive_ka ~platform_key:(platform_key t ~serial)
 
-let provider_attestation_key t ~serial ~provider =
-  Attestation.derive_provider_ka ~platform_key:(platform_key t ~serial) ~provider
-
 let set_manifest t entries = t.manifest <- entries
 let manifest t = t.manifest

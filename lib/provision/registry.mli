@@ -26,8 +26,6 @@ val platform_key : t -> serial:string -> bytes
 val attestation_key : t -> serial:string -> bytes
 (** Ka for that device, as its verifier needs it. *)
 
-val provider_attestation_key : t -> serial:string -> provider:string -> bytes
-
 (** {2 Software manifest} *)
 
 val set_manifest : t -> (string * Task_id.t) list -> unit

@@ -90,8 +90,6 @@ type report = {
   survived : bool;
 }
 
-let serial_of i = Printf.sprintf "dev-%05d" i
-
 (* The device-fault schedule: image tampers (a flipped firmware bit —
    the device then honestly refuses the reference identity), permanent
    kills and one-epoch hangs, pinned to epochs via [at_tick].  Built
@@ -109,8 +107,8 @@ let fault_events ~seed ~devices ~epochs =
           | 0 ->
               Fault_plan.Bit_flip
                 { addr = dev; bit = Fault_plan.Prng.int prng 8 }
-          | 1 -> Fault_plan.Task_kill { name = serial_of dev }
-          | _ -> Fault_plan.Task_hang { name = serial_of dev }
+          | 1 -> Fault_plan.Task_kill { name = Campaign.serial_of dev }
+          | _ -> Fault_plan.Task_hang { name = Campaign.serial_of dev }
         in
         { Fault_plan.at_tick = epoch; kind })
   in
@@ -177,34 +175,15 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
          it, whatever the verdict turns out to be. *)
       Cycles.charge device_clock (r.vet_cycles_per_device * devices)
   | None -> ());
-  (* Observation must not perturb the run: costs are zeroed (the chaos
-     campaign's discipline) so enabling telemetry leaves every clock
-     bit-identical. *)
-  let telemetry =
-    Telemetry.create ~per_event_cost:0 ~per_span_cost:0 verifier_clock
-  in
-  Telemetry.enable telemetry;
+  let telemetry = Campaign.telemetry verifier_clock in
   (* Flight-recorder plumbing: epoch loops restart their local slice
-     clock at 0, so recorded timestamps add this global base.  Like
-     telemetry, recording charges nothing. *)
+     clock at 0, so recorded timestamps add this global base. *)
   let obs_at = ref 0 in
-  let observe ~corr ~at event =
-    match obs with
-    | None -> ()
-    | Some log -> Obs.Log.record log ~corr ~at event
-  in
-  let corrupt_percent = if faults then 3 else 0 in
+  let observe = Campaign.observe obs in
   let provers =
     Array.init devices (fun i ->
-        let serial = serial_of i in
-        let link =
-          Link.create
-            ~seed:(((seed * 7919) + (i * 104729) + 13) land 0x3FFF_FFFF)
-            ~loss_percent ~corrupt_percent
-            ~duplicate_percent:(if faults then 2 else 0)
-            ~reorder_percent:(if faults then 2 else 0)
-            ()
-        in
+        let serial = Campaign.serial_of i in
+        let link = Campaign.link ~seed ~salt:13 ~faults ~loss_percent i in
         let platform_key = Registry.platform_key registry ~serial in
         (* Device-side boot-time key derivation, same in every mode. *)
         let ka =
@@ -264,20 +243,14 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
       done
   in
   let aggregator =
-    match mode with
-    | Scalar -> None
-    | Batched ->
-        Some
-          (Aggregator.create
-             ~ka_of:(fun ~serial -> Registry.attestation_key registry ~serial)
-             ~clock:verifier_clock ~telemetry ~batch_limit:256 ~shards:domains
-             ())
-    | Incremental ->
-        Some
-          (Aggregator.create
-             ~ka_of:(fun ~serial -> Registry.attestation_key registry ~serial)
-             ~clock:verifier_clock ~telemetry ~batch_limit:256
-             ~kind:Aggregator.Retain ~shards:domains ())
+    if mode = Scalar then None
+    else
+      Some
+        (Aggregator.create
+           ~ka_of:(fun ~serial -> Registry.attestation_key registry ~serial)
+           ~clock:verifier_clock ~telemetry ~batch_limit:256
+           ~kind:(if mode = Incremental then Aggregator.Retain else Aggregator.Rebuild)
+           ~shards:domains ())
   in
   (match aggregator with
   | Some a when obs <> None ->
@@ -320,33 +293,22 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
       plan
   in
   let silent (p : prover) ~epoch = p.silenced || p.hung_epoch = epoch in
+  (* Swarm provers run no CFA monitor, so they pass no genesis: a
+     corrupted challenge that decodes as a CfaChallenge is dropped. *)
   let prover_step (p : prover) ~epoch ~at ~clock =
     List.iter
       (fun frame ->
         match Protocol.decode frame with
-        | Error _ -> ()
-        | Ok (Protocol.Challenge { seq; id; nonce }) ->
-            if not (silent p ~epoch) then
-              if Task_id.equal id p.loaded then begin
-                let mac =
-                  Cost_model.charged clock (fun () ->
-                      Attestation.expected_mac ~ka:p.ka ~id ~nonce)
-                in
-                Link.send p.link ~from:Link.Device ~at
-                  (Protocol.encode
-                     (Protocol.Response
-                        { seq; report = { Attestation.id; nonce; mac } }))
-              end
-              else
-                Link.send p.link ~from:Link.Device ~at
-                  (Protocol.encode (Protocol.Refusal { seq }))
-        | Ok _ -> ())
+        | Ok msg when not (silent p ~epoch) ->
+            Option.iter
+              (fun reply ->
+                Link.send p.link ~from:Link.Device ~at (Protocol.encode reply))
+              (Campaign.answer ~clock ~ka:p.ka ~loaded:p.loaded msg)
+        | Ok _ | Error _ -> ())
       (Link.deliver p.link ~to_:Link.Device ~at)
   in
   let backoff = Verifier.default_backoff in
-  let slice_cap =
-    16 + (10 * (backoff.Verifier.cap_slices + backoff.Verifier.jitter_slices))
-  in
+  let slice_cap = Campaign.settle_cap backoff in
   let survived = ref true in
   let stats = ref [] in
   (* Steady-state bookkeeping: the verdict and proven identity each
@@ -377,9 +339,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
       churn.(e);
     let base = !obs_at in
     let epoch_corr = Printf.sprintf "fleet/epoch-%d" e in
-    (match obs with
-    | Some log -> ignore (Obs.Log.mint log epoch_corr)
-    | None -> ());
+    Campaign.mint obs epoch_corr;
     observe ~corr:epoch_corr ~at:base (Obs.Event.Epoch_opened { epoch = e });
     (match aggregator with
     | Some a -> Aggregator.begin_epoch a ~epoch:e
@@ -408,9 +368,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
     Array.iteri
       (fun d (p : prover) ->
         let session = Printf.sprintf "%s/e%d" p.serial e in
-        (match obs with
-        | Some log -> ignore (Obs.Log.mint log ~parent:epoch_corr session)
-        | None -> ());
+        Campaign.mint obs ~parent:epoch_corr session;
         if challenge.(d) then
           observe ~corr:session ~at:base
             (Obs.Event.Session_admitted
@@ -505,17 +463,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
     done;
     (* Anything still pending past the cap has exhausted its schedule:
        drive the state machine until it concedes. *)
-    Array.iter
-      (fun v ->
-        match v with
-        | None -> ()
-        | Some v ->
-            let at = ref (2 * slice_cap) in
-            while Verifier.outcome v = Verifier.Pending do
-              ignore (Verifier.poll v ~at:!at);
-              at := !at + slice_cap
-            done)
-      sessions;
+    Array.iter (Option.iter (Campaign.concede ~cap:slice_cap)) sessions;
     obs_at := base + !slice;
     (* Devices carried on liveness: charge the keepalive processing and
        stamp their retained slots alive before the epoch seals. *)
@@ -583,53 +531,30 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
           done
         done
     | None ->
-        if domains = 1 then
-          for _q = 1 to queries_per_epoch do
-            for d = 0 to devices - 1 do
-              let healthy =
-                match (stash.(d), Verifier.outcome (Option.get sessions.(d))) with
-                | Some report, Verifier.Attested ->
-                    Cost_model.charged verifier_clock (fun () ->
-                        let ka =
-                          Registry.attestation_key registry
-                            ~serial:provers.(d).serial
-                        in
-                        Attestation.verify ~ka report ~expected:fw_id
-                          ~nonce:(Verifier.nonce (Option.get sessions.(d))))
-                | _ -> false
-              in
-              if healthy then incr healthy_polls
-            done
-          done
-        else begin
-          (* Scalar polls are the expensive path (full KDF + HMAC per
-             poll) and are embarrassingly parallel: per-device counts
-             summed sequentially — the same total in any interleaving. *)
-          let per_device = Array.make devices 0 in
-          Domain_pool.run pool (fun w ->
-              let lo, hi = ranges.(w) in
-              for d = lo to hi - 1 do
-                let n = ref 0 in
-                for _q = 1 to queries_per_epoch do
-                  (match
-                     (stash.(d), Verifier.outcome (Option.get sessions.(d)))
-                   with
-                  | Some report, Verifier.Attested ->
-                      if
-                        Cost_model.charged wver.(w) (fun () ->
-                            let ka =
-                              Registry.attestation_key registry
-                                ~serial:provers.(d).serial
-                            in
-                            Attestation.verify ~ka report ~expected:fw_id
-                              ~nonce:(Verifier.nonce (Option.get sessions.(d))))
-                      then incr n
-                  | _ -> ())
-                done;
-                per_device.(d) <- !n
-              done);
-          healthy_polls := Array.fold_left ( + ) 0 per_device
-        end);
+        (* Scalar polls are the expensive path (full KDF + HMAC per
+           poll) and are embarrassingly parallel: per-device counts
+           summed sequentially — the same total in any interleaving. *)
+        let per_device = Array.make devices 0 in
+        Domain_pool.run pool (fun w ->
+            let lo, hi = ranges.(w) in
+            for d = lo to hi - 1 do
+              let v = Option.get sessions.(d) in
+              match (stash.(d), Verifier.outcome v) with
+              | Some report, Verifier.Attested ->
+                  for _q = 1 to queries_per_epoch do
+                    if
+                      Cost_model.charged wver.(w) (fun () ->
+                          let ka =
+                            Registry.attestation_key registry
+                              ~serial:provers.(d).serial
+                          in
+                          Attestation.verify ~ka report ~expected:fw_id
+                            ~nonce:(Verifier.nonce v))
+                    then per_device.(d) <- per_device.(d) + 1
+                  done
+              | _ -> ()
+            done);
+        healthy_polls := Array.fold_left ( + ) 0 per_device);
     String.iteri
       (fun d c ->
         if (not (silent provers.(d) ~epoch:e)) && not provers.(d).tampered then
@@ -690,12 +615,8 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
       :: !stats
   done;
   merge_worker_clocks ();
-  let frames_sent = Array.fold_left (fun n p -> n + Link.sent_count p.link) 0 provers in
-  let frames_dropped =
-    Array.fold_left (fun n p -> n + Link.dropped_count p.link) 0 provers
-  in
-  let frames_delivered =
-    Array.fold_left (fun n p -> n + Link.delivered_count p.link) 0 provers
+  let frames_sent, frames_dropped, frames_delivered =
+    Campaign.frame_totals (Array.map (fun p -> p.link) provers)
   in
   {
     mode;
@@ -724,14 +645,9 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
         0 provers;
     key_derivations =
       (match aggregator with Some a -> Aggregator.key_derivations a | None -> 0);
-    telemetry =
-      List.map
-        (fun (k, v) -> (Telemetry.key_to_string k, v))
-        (Telemetry.counters telemetry);
+    telemetry = Campaign.counters telemetry;
     survived = !survived;
   }
-
-let verdict_digest s = Crypto.Sha1.to_hex (Crypto.Sha1.digest_string s)
 
 let body r =
   let b = Buffer.create 1024 in
@@ -760,7 +676,7 @@ let body r =
         s.batches s.cache_hits s.cache_misses s.challenged s.carried
         s.delta_changed s.verify_cycles;
       if s.root_hex <> "" then add "  root=%s\n" s.root_hex;
-      add "  verdicts=sha1:%s\n" (verdict_digest s.verdicts))
+      add "  verdicts=sha1:%s\n" (Campaign.sha1_hex s.verdicts))
     r.per_epoch;
   add "verifier_cycles=%d device_cycles=%d\n" r.verifier_cycles r.device_cycles;
   add "frames: sent=%d dropped=%d delivered=%d\n" r.frames_sent r.frames_dropped
@@ -771,11 +687,8 @@ let body r =
   add "survived: %s\n" (if r.survived then "yes" else "no");
   Buffer.contents b
 
-let to_string r =
-  let body = body r in
-  body ^ Printf.sprintf "digest: sha1:%s\n" (verdict_digest body)
-
-let equal a b = to_string a = to_string b
+let to_string = Campaign.to_string body
+let equal = Campaign.equal body
 
 let verdicts r = List.map (fun s -> s.verdicts) r.per_epoch
 

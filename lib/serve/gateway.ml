@@ -10,36 +10,28 @@ module Obs = Tytan_obs.Obs
 
 type config = {
   max_pending : int;
-  max_inflight : int;
   bucket_capacity : int;
   bucket_refill_slices : int;
   store_capacity : int;
   deadline_slices : int;
-  max_attempts : int;
-  backoff : Verifier.backoff;
-  breaker_threshold : int;
-  quarantine_slices : int;
-  epoch_slices : int;
-  slice_cycles : int;
-  aggregation : Aggregator.kind;
 }
 
 let default_config =
   {
     max_pending = 64;
-    max_inflight = 128;
     bucket_capacity = 4;
     bucket_refill_slices = 16;
     store_capacity = 512;
     deadline_slices = 96;
-    max_attempts = 6;
-    backoff = Verifier.default_backoff;
-    breaker_threshold = 3;
-    quarantine_slices = 256;
-    epoch_slices = 64;
-    slice_cycles = 32_000;
-    aggregation = Aggregator.Rebuild;
   }
+
+let max_inflight = 128
+let max_attempts = 6
+let backoff = Verifier.default_backoff
+let breaker_threshold = 3
+let quarantine_slices = 256
+let epoch_slices = 64
+let slice_cycles = 32_000
 
 type refusal =
   | Busy
@@ -111,7 +103,7 @@ type t = {
   loss_percent : int;
   registry : Registry.t;
   fw_id : Task_id.t;
-  genesis : bytes;  (* empty CFA log head for fw_id *)
+  genesis : bytes Lazy.t;  (* empty CFA log head for fw_id, forced at create *)
   provers : prover array;
   index_of : (string, int) Hashtbl.t;  (* serial -> prover index *)
   store : (string, dev_state) Hashtbl.t;
@@ -131,21 +123,9 @@ type t = {
   mutable fault_counts : (string * int) list;
   mutable arrivals : int;
   mutable admitted : int;
-  mutable attested : int;
-  mutable refused : int;
-  mutable timed_out : int;
-  mutable cfa_rejected : int;
-  mutable shed_busy : int;
-  mutable shed_rate_limited : int;
-  mutable shed_quarantined : int;
   mutable max_queue_depth : int;
-  mutable quarantine_trips : int;
   mutable quarantined_serials : string list;
-  mutable evictions : int;
   mutable key_derivations : int;
-  mutable malformed : int;
-  mutable stale : int;
-  mutable unknown : int;
   mutable latencies : int list;  (* settled sessions, newest first *)
   mutable closed_next : int array;
       (* per-device slice of the next closed-loop request; [||] in
@@ -153,8 +133,6 @@ type t = {
          at [max_int] until {!settle} reschedules it. *)
   mutable closed_think : int;
 }
-
-let serial_of i = Printf.sprintf "dev-%05d" i
 
 (* The gateway-layer chaos schedule: correlated outages, wedged devices
    and deadline-crossing replies, seeded like [Swarm.fault_events] so
@@ -166,7 +144,7 @@ let network_faults ~seed ~devices ~horizon =
   let events =
     List.init count (fun _ ->
         let at = Fault_plan.Prng.int prng span in
-        let name = serial_of (Fault_plan.Prng.int prng devices) in
+        let name = Campaign.serial_of (Fault_plan.Prng.int prng devices) in
         let kind =
           match Fault_plan.Prng.int prng 3 with
           | 0 ->
@@ -198,28 +176,16 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
   let fw_id = Task_id.of_image image in
   let clock = Cycles.create () in
   let device_clock = Cycles.create () in
-  (* Observation must not perturb the run: zero costs, so enabling
-     telemetry leaves every clock bit-identical (the chaos campaign's
-     discipline). *)
-  let telemetry = Telemetry.create ~per_event_cost:0 ~per_span_cost:0 clock in
-  Telemetry.enable telemetry;
-  let corrupt_percent = if faults then 3 else 0 in
+  let telemetry = Campaign.telemetry clock in
   let index_of = Hashtbl.create (devices * 2) in
   let genesis =
     Cost_model.charged device_clock (fun () -> Attestation.cf_genesis ~id:fw_id)
   in
   let provers =
     Array.init devices (fun i ->
-        let serial = serial_of i in
+        let serial = Campaign.serial_of i in
         Hashtbl.replace index_of serial i;
-        let link =
-          Link.create
-            ~seed:(((seed * 7919) + (i * 104729) + 31) land 0x3FFF_FFFF)
-            ~loss_percent ~corrupt_percent
-            ~duplicate_percent:(if faults then 2 else 0)
-            ~reorder_percent:(if faults then 2 else 0)
-            ()
-        in
+        let link = Campaign.link ~seed ~salt:31 ~faults ~loss_percent i in
         let platform_key = Registry.platform_key registry ~serial in
         let ka =
           Cost_model.charged device_clock (fun () -> Attestation.derive_ka ~platform_key)
@@ -237,7 +203,7 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
   let aggregator =
     Aggregator.create
       ~ka_of:(fun ~serial -> Registry.attestation_key registry ~serial)
-      ~clock ~telemetry ~batch_limit:256 ~kind:config.aggregation ()
+      ~clock ~telemetry ~batch_limit:256 ()
   in
   (* Epoch-seal events ride the aggregator's observer hook: the sealed
      batch lands under the corr id of the epoch that collected it. *)
@@ -246,7 +212,7 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
       Aggregator.on_seal aggregator (fun ~epoch ~root ~leaves ->
           Obs.Log.record log
             ~corr:(Printf.sprintf "serve/epoch-%d" epoch)
-            ~at:(epoch * config.epoch_slices)
+            ~at:(epoch * epoch_slices)
             (Obs.Event.Epoch_sealed
                { epoch; root_hex = Crypto.Sha256.to_hex root; leaves }))
   | None -> ());
@@ -257,7 +223,7 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
     loss_percent;
     registry;
     fw_id;
-    genesis;
+    genesis = Lazy.from_val genesis;
     provers;
     index_of;
     store = Hashtbl.create (config.store_capacity * 2);
@@ -279,21 +245,9 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
     fault_counts = [];
     arrivals = 0;
     admitted = 0;
-    attested = 0;
-    refused = 0;
-    timed_out = 0;
-    cfa_rejected = 0;
-    shed_busy = 0;
-    shed_rate_limited = 0;
-    shed_quarantined = 0;
     max_queue_depth = 0;
-    quarantine_trips = 0;
     quarantined_serials = [];
-    evictions = 0;
     key_derivations = 0;
-    malformed = 0;
-    stale = 0;
-    unknown = 0;
     latencies = [];
     closed_next = [||];
     closed_think = 0;
@@ -322,16 +276,13 @@ let frame_kind = function
   | Protocol.UpdateChunk _ -> "update-chunk"
   | Protocol.UpdateAck _ -> "update-ack"
 
-let observe t ~corr event =
-  match t.obs with
-  | None -> ()
-  | Some log -> Obs.Log.record log ~corr ~at:t.now event
+let observe t ~corr event = Campaign.observe t.obs ~corr ~at:t.now event
 
 (* The epoch correlation id is minted lazily on first use — arrivals in
    a slice precede the service step, so the first event of an epoch can
    be an admission. *)
 let epoch_corr t =
-  let e = t.now / t.cfg.epoch_slices in
+  let e = t.now / epoch_slices in
   let corr = Printf.sprintf "serve/epoch-%d" e in
   (match t.obs with
   | Some log when t.obs_epoch <> e ->
@@ -341,12 +292,17 @@ let epoch_corr t =
   | _ -> ());
   corr
 
+(* Every occurrence the report counts is recorded once, as a telemetry
+   counter; the report and these accessors read it back. *)
+let count t name = Telemetry.counter t.telemetry ~component:"serve" name
+let tally t name = Telemetry.incr t.telemetry ~component:"serve" name
+
 let slice t = t.now
 let pending_depth t = Queue.length t.pending_q
 let inflight_count t = t.inflight_n
-let malformed_frames t = t.malformed
-let stale_frames t = t.stale
-let unknown_frames t = t.unknown
+let malformed_frames t = count t "malformed_frames"
+let stale_frames t = count t "stale_frames"
+let unknown_frames t = count t "unknown_frames"
 
 let bump t label =
   t.fault_counts <-
@@ -356,32 +312,28 @@ let bump t label =
 
 let apply_due_faults t =
   let at = t.now in
+  (* Apply [f] to the named prover and count the fault, if it exists. *)
+  let hit name label f =
+    match Hashtbl.find_opt t.index_of name with
+    | Some i ->
+        f t.provers.(i);
+        bump t label
+    | None -> ()
+  in
   let rec go () =
     match t.fault_queue with
     | ev :: rest when ev.Fault_plan.at_tick <= at ->
         t.fault_queue <- rest;
         (match ev.Fault_plan.kind with
-        | Fault_plan.Burst_loss { name; duration } -> (
-            match Hashtbl.find_opt t.index_of name with
-            | Some i ->
-                Link.set_burst t.provers.(i).link ~until:(at + duration);
-                bump t "burst-loss"
-            | None -> ())
-        | Fault_plan.Device_stall { name; duration } -> (
-            match Hashtbl.find_opt t.index_of name with
-            | Some i ->
-                let p = t.provers.(i) in
-                p.stall_until <- max p.stall_until (at + duration);
-                bump t "device-stall"
-            | None -> ())
-        | Fault_plan.Late_reply { name; extra; duration } -> (
-            match Hashtbl.find_opt t.index_of name with
-            | Some i ->
-                let p = t.provers.(i) in
+        | Fault_plan.Burst_loss { name; duration } ->
+            hit name "burst-loss" (fun p -> Link.set_burst p.link ~until:(at + duration))
+        | Fault_plan.Device_stall { name; duration } ->
+            hit name "device-stall" (fun p ->
+                p.stall_until <- max p.stall_until (at + duration))
+        | Fault_plan.Late_reply { name; extra; duration } ->
+            hit name "late-reply" (fun p ->
                 p.late_until <- max p.late_until (at + duration);
-                p.late_extra <- extra;
-                bump t "late-reply"
-            | None -> ())
+                p.late_extra <- extra)
         | _ -> ());
         go ()
     | _ -> ()
@@ -408,8 +360,7 @@ let evict_lru t =
   match victim with
   | Some (serial, _) ->
       Hashtbl.remove t.store serial;
-      t.evictions <- t.evictions + 1;
-      Telemetry.incr t.telemetry ~component:"serve" "evictions";
+      tally t "evictions";
       if t.obs <> None then
         observe t ~corr:(epoch_corr t) (Obs.Event.Evicted { serial })
   | None -> ()
@@ -446,19 +397,7 @@ let refill t (st : dev_state) =
 
 (* ---- sessions --------------------------------------------------------- *)
 
-let cfa_check t (r : Attestation.cfa_report) =
-  (* A quiescent device answers with the empty, genesis-anchored log;
-     anything else from a device that should be idle is a compromise. *)
-  if
-    r.Attestation.edge_count = 0
-    && Bytes.equal r.Attestation.cf_digest t.genesis
-    && Bytes.equal r.Attestation.base_digest t.genesis
-  then Ok ()
-  else Error "non-empty control-flow log from a quiescent device"
-
 let make_verifier t (st : dev_state) ~serial ~kind ~label =
-  let backoff = t.cfg.backoff in
-  let max_attempts = t.cfg.max_attempts in
   match kind with
   | Static ->
       Verifier.create ~ka:st.ka ~expected:t.fw_id ~backoff ~max_attempts
@@ -475,7 +414,7 @@ let make_verifier t (st : dev_state) ~serial ~kind ~label =
   | Cfa ->
       Verifier.create ~ka:st.ka ~expected:t.fw_id ~backoff ~max_attempts
         ~refusals_to_settle:2
-        ~cfa:(fun r -> cfa_check t r)
+        ~cfa:(Campaign.quiescent ~genesis:(Lazy.force t.genesis))
         ~session:label ()
 
 let draw_kind t =
@@ -485,12 +424,7 @@ let draw_kind t =
   | _ -> Cfa
 
 let shed_arrival t ~serial refusal =
-  (match refusal with
-  | Busy -> t.shed_busy <- t.shed_busy + 1
-  | Rate_limited -> t.shed_rate_limited <- t.shed_rate_limited + 1
-  | Quarantined -> t.shed_quarantined <- t.shed_quarantined + 1);
-  Telemetry.incr t.telemetry ~component:"serve"
-    ("shed_" ^ refusal_label refusal);
+  tally t ("shed_" ^ refusal_label refusal);
   if t.obs <> None then
     observe t ~corr:(epoch_corr t)
       (Obs.Event.Session_shed { serial; reason = refusal_label refusal });
@@ -515,12 +449,11 @@ let arrive t ~device =
       let kind = draw_kind t in
       let label = Printf.sprintf "%s/a%06d" serial t.admitted in
       let verifier = make_verifier t st ~serial ~kind ~label in
-      (match t.obs with
-      | Some log ->
-          ignore (Obs.Log.mint log ~parent:(epoch_corr t) label);
-          observe t ~corr:label
-            (Obs.Event.Session_admitted { serial; kind = kind_label kind })
-      | None -> ());
+      if t.obs <> None then begin
+        Campaign.mint t.obs ~parent:(epoch_corr t) label;
+        observe t ~corr:label
+          (Obs.Event.Session_admitted { serial; kind = kind_label kind })
+      end;
       Queue.push
         {
           s_serial = serial;
@@ -557,19 +490,12 @@ let settle t (s : session) ~verdict =
      after its session concludes, then asks again. *)
   if Array.length t.closed_next > 0 then
     t.closed_next.(s.s_device) <- t.now + t.closed_think;
-  (match verdict with
-  | V_attested ->
-      t.attested <- t.attested + 1;
-      Telemetry.incr t.telemetry ~component:"serve" "attested"
-  | V_refused ->
-      t.refused <- t.refused + 1;
-      Telemetry.incr t.telemetry ~component:"serve" "refused"
-  | V_timed_out ->
-      t.timed_out <- t.timed_out + 1;
-      Telemetry.incr t.telemetry ~component:"serve" "timed_out"
-  | V_cfa_rejected ->
-      t.cfa_rejected <- t.cfa_rejected + 1;
-      Telemetry.incr t.telemetry ~component:"serve" "cfa_rejected");
+  tally t
+    (match verdict with
+    | V_attested -> "attested"
+    | V_refused -> "refused"
+    | V_timed_out -> "timed_out"
+    | V_cfa_rejected -> "cfa_rejected");
   match Hashtbl.find_opt t.store s.s_serial with
   | None -> ()  (* evicted mid-session; the breaker state went with it *)
   | Some st ->
@@ -582,13 +508,12 @@ let settle t (s : session) ~verdict =
       if verdict = V_attested then st.streak <- 0
       else if failed then begin
         st.streak <- st.streak + 1;
-        if st.streak >= t.cfg.breaker_threshold then begin
+        if st.streak >= breaker_threshold then begin
           st.streak <- 0;
-          st.quarantined_until <- t.now + t.cfg.quarantine_slices;
-          t.quarantine_trips <- t.quarantine_trips + 1;
+          st.quarantined_until <- t.now + quarantine_slices;
           if not (List.mem s.s_serial t.quarantined_serials) then
             t.quarantined_serials <- s.s_serial :: t.quarantined_serials;
-          Telemetry.incr t.telemetry ~component:"serve" "quarantines";
+          tally t "quarantines";
           observe t ~corr:s.s_corr
             (Obs.Event.Breaker_tripped { serial = s.s_serial });
           observe t ~corr:s.s_corr
@@ -616,19 +541,10 @@ let seq_of = function
 let route t (p : prover) frame =
   match Protocol.decode frame with
   | Error e ->
-      if Protocol.is_unknown_tag e then begin
-        t.unknown <- t.unknown + 1;
-        Telemetry.incr t.telemetry ~component:"serve" "unknown_frames"
-      end
-      else begin
-        t.malformed <- t.malformed + 1;
-        Telemetry.incr t.telemetry ~component:"serve" "malformed_frames"
-      end
+      tally t (if Protocol.is_unknown_tag e then "unknown_frames" else "malformed_frames")
   | Ok msg -> (
       match Hashtbl.find_opt t.by_seq (p.serial, seq_of msg) with
-      | None ->
-          t.stale <- t.stale + 1;
-          Telemetry.incr t.telemetry ~component:"serve" "stale_frames"
+      | None -> tally t "stale_frames"
       | Some s ->
           observe t ~corr:s.s_corr
             (Obs.Event.Frame_received { kind = frame_kind msg });
@@ -656,47 +572,13 @@ let prover_step t (p : prover) =
         let reply_at = if at < p.late_until then at + p.late_extra else at in
         match Protocol.decode frame with
         | Error _ -> ()
-        | Ok (Protocol.Challenge { seq; id; nonce }) ->
-            if Task_id.equal id p.id then begin
-              let mac =
-                Cost_model.charged t.device_clock (fun () ->
-                    Attestation.expected_mac ~ka:p.ka ~id ~nonce)
-              in
-              Link.send p.link ~from:Link.Device ~at:reply_at
-                (Protocol.encode
-                   (Protocol.Response
-                      { seq; report = { Attestation.id; nonce; mac } }))
-            end
-            else
-              Link.send p.link ~from:Link.Device ~at:reply_at
-                (Protocol.encode (Protocol.Refusal { seq }))
-        | Ok (Protocol.CfaChallenge { seq; id; nonce }) ->
-            if Task_id.equal id p.id then begin
-              (* Quiescent device: the honest answer is the empty log,
-                 anchored at the genesis digest. *)
-              let mac =
-                Cost_model.charged t.device_clock (fun () ->
-                    Attestation.expected_cfa_mac ~ka:p.ka ~id ~nonce
-                      ~cf_digest:t.genesis ~base_digest:t.genesis ~edge_count:0)
-              in
-              let report =
-                {
-                  Attestation.id;
-                  nonce;
-                  cf_digest = t.genesis;
-                  base_digest = t.genesis;
-                  edge_count = 0;
-                  edges = [||];
-                  mac;
-                }
-              in
-              Link.send p.link ~from:Link.Device ~at:reply_at
-                (Protocol.encode (Protocol.CfaResponse { seq; report }))
-            end
-            else
-              Link.send p.link ~from:Link.Device ~at:reply_at
-                (Protocol.encode (Protocol.Refusal { seq }))
-        | Ok _ -> ())
+        | Ok msg ->
+            Option.iter
+              (fun reply ->
+                Link.send p.link ~from:Link.Device ~at:reply_at
+                  (Protocol.encode reply))
+              (Campaign.answer ~clock:t.device_clock ~ka:p.ka ~loaded:p.id
+                 ~genesis:t.genesis msg))
       frames
 
 (* ---- the service loop ------------------------------------------------- *)
@@ -704,14 +586,14 @@ let prover_step t (p : prover) =
 let step t =
   let at = t.now in
   apply_due_faults t;
-  if at mod t.cfg.epoch_slices = 0 then begin
+  if at mod epoch_slices = 0 then begin
     (* Seals the outgoing batch and clears the measurement cache: a
        verdict cached under one nonce epoch must not answer the next. *)
-    Aggregator.begin_epoch t.aggregator ~epoch:(at / t.cfg.epoch_slices);
+    Aggregator.begin_epoch t.aggregator ~epoch:(at / epoch_slices);
     if t.obs <> None then ignore (epoch_corr t)
   end;
   (* Start queued sessions up to the in-flight cap. *)
-  while t.inflight_n < t.cfg.max_inflight && not (Queue.is_empty t.pending_q) do
+  while t.inflight_n < max_inflight && not (Queue.is_empty t.pending_q) do
     let s = Queue.pop t.pending_q in
     s.started_at <- at;
     Hashtbl.replace t.by_seq (s.s_serial, Verifier.seq s.verifier) s;
@@ -806,13 +688,6 @@ type report = {
 let shed r = r.shed_busy + r.shed_rate_limited + r.shed_quarantined
 let settled r = r.attested + r.refused + r.timed_out + r.cfa_rejected
 
-(* Nearest-rank percentile over the exact latency population — not the
-   log-bucketed telemetry histogram, so the p99 row in the bench table
-   is sharp. *)
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0 else sorted.(max 0 (((p * n) + 99) / 100 - 1))
-
 let sum_links provers =
   Array.fold_left
     (fun acc (p : prover) ->
@@ -829,7 +704,14 @@ let sum_links provers =
 let report_of t ~load_slices ~arrival_permille ~think =
   let sorted = Array.of_list t.latencies in
   Array.sort compare sorted;
-  let total = max 1 t.now in
+  (* Nearest-rank over the exact latency population — not the
+     log-bucketed telemetry histogram, so the p99 row in the bench table
+     is sharp. *)
+  let rank = Obs.Slo.percentile sorted in
+  let settled =
+    count t "attested" + count t "refused" + count t "timed_out"
+    + count t "cfa_rejected"
+  in
   {
     devices = Array.length t.provers;
     load_slices;
@@ -841,37 +723,33 @@ let report_of t ~load_slices ~arrival_permille ~think =
     loss_percent = t.loss_percent;
     arrivals = t.arrivals;
     admitted = t.admitted;
-    attested = t.attested;
-    refused = t.refused;
-    timed_out = t.timed_out;
-    cfa_rejected = t.cfa_rejected;
-    shed_busy = t.shed_busy;
-    shed_rate_limited = t.shed_rate_limited;
-    shed_quarantined = t.shed_quarantined;
+    attested = count t "attested";
+    refused = count t "refused";
+    timed_out = count t "timed_out";
+    cfa_rejected = count t "cfa_rejected";
+    shed_busy = count t ("shed_" ^ refusal_label Busy);
+    shed_rate_limited = count t ("shed_" ^ refusal_label Rate_limited);
+    shed_quarantined = count t ("shed_" ^ refusal_label Quarantined);
     max_queue_depth = t.max_queue_depth;
     queue_bound = t.cfg.max_pending;
-    p50_slices = percentile sorted 50;
-    p99_slices = percentile sorted 99;
-    p50_cycles = percentile sorted 50 * t.cfg.slice_cycles;
-    p99_cycles = percentile sorted 99 * t.cfg.slice_cycles;
-    throughput_per_kslice =
-      (t.attested + t.refused + t.timed_out + t.cfa_rejected) * 1000 / total;
+    p50_slices = rank 50;
+    p99_slices = rank 99;
+    p50_cycles = rank 50 * slice_cycles;
+    p99_cycles = rank 99 * slice_cycles;
+    throughput_per_kslice = settled * 1000 / max 1 t.now;
     quarantined = List.sort compare t.quarantined_serials;
-    quarantine_trips = t.quarantine_trips;
-    evictions = t.evictions;
+    quarantine_trips = count t "quarantines";
+    evictions = count t "evictions";
     key_derivations = t.key_derivations;
     batches = List.length (Aggregator.batches t.aggregator);
-    malformed_frames = t.malformed;
-    stale_frames = t.stale;
-    unknown_frames = t.unknown;
+    malformed_frames = malformed_frames t;
+    stale_frames = stale_frames t;
+    unknown_frames = unknown_frames t;
     verifier_cycles = Cycles.now t.clock;
     device_cycles = Cycles.now t.device_clock;
     link = sum_links t.provers;
     fault_counts = List.sort compare t.fault_counts;
-    telemetry =
-      List.map
-        (fun (k, v) -> (Telemetry.key_to_string k, v))
-        (Telemetry.counters t.telemetry);
+    telemetry = Campaign.counters t.telemetry;
   }
 
 let run ?(config = default_config) ?(faults = false) ?(loss_percent = 10)
@@ -931,9 +809,8 @@ let run ?(config = default_config) ?(faults = false) ?(loss_percent = 10)
      so the queue empties in bounded time.  The cap is a backstop. *)
   let drain_cap =
     t.now
-    + ((config.max_pending / max 1 config.max_inflight) + 3)
-      * config.deadline_slices
-    + config.backoff.Verifier.cap_slices
+    + ((config.max_pending / max_inflight) + 3) * config.deadline_slices
+    + backoff.Verifier.cap_slices
   in
   while
     (t.inflight_n > 0 || not (Queue.is_empty t.pending_q)) && t.now < drain_cap
@@ -953,8 +830,6 @@ let run ?(config = default_config) ?(faults = false) ?(loss_percent = 10)
       (match arrival with
       | Open_loop -> None
       | Closed_loop { think } -> Some think)
-
-let sha1_hex s = Crypto.Sha1.to_hex (Crypto.Sha1.digest_string s)
 
 let body r =
   let b = Buffer.create 1024 in
@@ -990,8 +865,5 @@ let body r =
   List.iter (fun (k, v) -> add "  %s=%d\n" k v) r.telemetry;
   Buffer.contents b
 
-let to_string r =
-  let body = body r in
-  body ^ Printf.sprintf "digest: sha1:%s\n" (sha1_hex body)
-
-let equal a b = to_string a = to_string b
+let to_string = Campaign.to_string body
+let equal = Campaign.equal body

@@ -12,8 +12,8 @@
 
     - {b Admission control}: arrivals queue in a bounded pending queue;
       when it is full the gateway sheds the session with a typed {!Busy}
-      refusal instead of growing without bound.  At most
-      [max_inflight] sessions run concurrently.
+      refusal instead of growing without bound.  At most 128 sessions
+      run concurrently.
     - {b Rate limiting}: a per-device token bucket; a device hammering
       the gateway is refused {!Rate_limited} without consuming protocol
       resources.
@@ -37,42 +37,29 @@
     network-layer chaos vocabulary ([Burst_loss], [Device_stall],
     [Late_reply]); this module applies it.  See DESIGN.md §14. *)
 
-open Tytan_netsim
-
 type config = {
   max_pending : int;  (** pending-queue bound; beyond it arrivals shed *)
-  max_inflight : int;  (** concurrent active sessions *)
   bucket_capacity : int;  (** per-device token-bucket burst size *)
   bucket_refill_slices : int;  (** slices per token refilled *)
   store_capacity : int;  (** LRU device-state entries kept *)
   deadline_slices : int;  (** hard per-session deadline once started *)
-  max_attempts : int;  (** verifier retransmit budget per session *)
-  backoff : Verifier.backoff;  (** retransmit schedule *)
-  breaker_threshold : int;
-      (** consecutive failed sessions before a device is quarantined *)
-  quarantine_slices : int;  (** how long a tripped breaker holds *)
-  epoch_slices : int;  (** aggregator nonce-epoch length *)
-  slice_cycles : int;  (** nominal cycles per slice, for latency rows *)
-  aggregation : Aggregator.kind;
-      (** how the aggregator carries sealed state across epochs:
-          {!Aggregator.Rebuild} (the default — each epoch's batches are
-          built from scratch, the original gateway behaviour, bit for
-          bit) or {!Aggregator.Retain} (one persistent leaf per device,
-          dirty-path recomputation, sparse epoch deltas). *)
 }
 
 val default_config : config
-(** pending 64, inflight 128, bucket 4 cap / 16 slices per token,
-    store 512, deadline 96, 6 attempts under {!Verifier.default_backoff},
-    breaker 3, quarantine 256, epoch 64, 32 000 cycles per slice,
-    [Rebuild] aggregation. *)
+(** pending 64, bucket 4 cap / 16 slices per token, store 512,
+    deadline 96.
+
+    The rest of the regime is fixed: 128 sessions in flight, 6
+    attempts per session under {!Tytan_netsim.Verifier.default_backoff}, a breaker
+    that trips after 3 consecutive failed sessions and holds for 256
+    slices, 64-slice aggregator nonce epochs (batches rebuilt per
+    epoch, {!Tytan_netsim.Aggregator.Rebuild}), and 32 000 nominal cycles per slice
+    for the latency rows. *)
 
 type refusal =
   | Busy  (** pending queue full — load shed *)
   | Rate_limited  (** the device's token bucket is empty *)
   | Quarantined  (** the device's circuit breaker is open *)
-
-val refusal_label : refusal -> string
 
 type admission =
   | Admitted
@@ -175,7 +162,7 @@ type report = {
   queue_bound : int;  (** the configured [max_pending], for the record *)
   p50_slices : int;  (** median admitted-to-settled latency *)
   p99_slices : int;
-  p50_cycles : int;  (** the same at [slice_cycles] per slice *)
+  p50_cycles : int;  (** the same at 32 000 cycles per slice *)
   p99_cycles : int;
   throughput_per_kslice : int;  (** settled sessions per 1000 slices *)
   quarantined : string list;  (** serials ever quarantined, sorted *)

@@ -5,6 +5,7 @@ open Tytan_core
 open Tytan_netsim
 module Tasks = Tytan_tasks.Task_lib
 module Cpu = Tytan_machine.Cpu
+module Cycles = Tytan_machine.Cycles
 module Word = Tytan_machine.Word
 module Memory = Tytan_machine.Memory
 module Monitor = Tytan_cfa.Monitor
@@ -64,6 +65,112 @@ let link_tests =
           Link.dropped_count link
         in
         check_int "same seed same drops" (run 42) (run 42));
+  ]
+
+(* --- Campaign light prover --------------------------------------------------- *)
+
+let campaign_answer_tests =
+  let ka = Attestation.derive_ka ~platform_key:(Bytes.make 20 'k') in
+  let loaded = Task_id.of_image (Bytes.of_string "campaign-fw") in
+  let other = Task_id.of_image (Bytes.of_string "campaign-other") in
+  let nonce = Bytes.of_string "campaign-nonce" in
+  let genesis () = lazy (Attestation.cf_genesis ~id:loaded) in
+  let answer ?genesis msg =
+    let clock = Cycles.create () in
+    let reply = Campaign.answer ~clock ~ka ~loaded ?genesis msg in
+    (reply, Cycles.now clock)
+  in
+  [
+    Alcotest.test_case "matching challenge gets the expected MAC" `Quick
+      (fun () ->
+        match answer (Protocol.Challenge { seq = 7; id = loaded; nonce }) with
+        | Some (Protocol.Response { seq; report }), cycles ->
+            check_int "seq echoed" 7 seq;
+            check_bool "mac is expected_mac" true
+              (Bytes.equal report.Attestation.mac
+                 (Attestation.expected_mac ~ka ~id:loaded ~nonce));
+            check_bool "verifies" true
+              (Attestation.verify ~ka report ~expected:loaded ~nonce);
+            check_bool "mac charged" true (cycles > 0)
+        | _ -> Alcotest.fail "expected a Response");
+    Alcotest.test_case "wrong identity gets a refusal" `Quick (fun () ->
+        match answer (Protocol.Challenge { seq = 3; id = other; nonce }) with
+        | Some (Protocol.Refusal { seq }), cycles ->
+            check_int "seq echoed" 3 seq;
+            check_int "nothing charged" 0 cycles
+        | _ -> Alcotest.fail "expected a Refusal");
+    Alcotest.test_case "cfa challenge with a genesis gets the empty log" `Quick
+      (fun () ->
+        let g = Attestation.cf_genesis ~id:loaded in
+        match
+          answer ~genesis:(genesis ())
+            (Protocol.CfaChallenge { seq = 9; id = loaded; nonce })
+        with
+        | Some (Protocol.CfaResponse { seq; report }), cycles ->
+            check_int "seq echoed" 9 seq;
+            check_int "no edges" 0 report.Attestation.edge_count;
+            check_bool "quiescent" true (Campaign.quiescent ~genesis:g report = Ok ());
+            check_bool "authentic" true
+              (Attestation.verify_cfa ~ka report ~expected:loaded ~nonce);
+            (* The genesis digest is derived outside the charge: only
+               the MAC costs cycles. *)
+            let mac_only = Cycles.create () in
+            ignore
+              (Cost_model.charged mac_only (fun () ->
+                   Attestation.expected_cfa_mac ~ka ~id:loaded ~nonce
+                     ~cf_digest:g ~base_digest:g ~edge_count:0));
+            check_int "only the MAC charged" (Cycles.now mac_only) cycles
+        | _ -> Alcotest.fail "expected a CfaResponse");
+    Alcotest.test_case "cfa challenge for another identity gets a refusal"
+      `Quick (fun () ->
+        match
+          answer ~genesis:(genesis ())
+            (Protocol.CfaChallenge { seq = 4; id = other; nonce })
+        with
+        | Some (Protocol.Refusal { seq }), _ -> check_int "seq echoed" 4 seq
+        | _ -> Alcotest.fail "expected a Refusal");
+    Alcotest.test_case "cfa challenge without a genesis gets no reply" `Quick
+      (fun () ->
+        let reply, cycles =
+          answer (Protocol.CfaChallenge { seq = 5; id = loaded; nonce })
+        in
+        check_bool "dropped" true (reply = None);
+        check_int "nothing charged" 0 cycles);
+    Alcotest.test_case "non-challenge frames get no reply" `Quick (fun () ->
+        let report =
+          { Attestation.id = loaded; nonce; mac = Bytes.make 20 '\000' }
+        in
+        List.iter
+          (fun msg ->
+            let reply, cycles =
+              answer ~genesis:(lazy (Alcotest.fail "genesis forced")) msg
+            in
+            check_bool "no reply" true (reply = None);
+            check_int "nothing charged" 0 cycles)
+          [
+            Protocol.Response { seq = 1; report };
+            Protocol.Refusal { seq = 2 };
+            Protocol.UpdateAck { seq = 3; status = Protocol.Ota_ready; arg = 0 };
+            Protocol.UpdateChunk { seq = 4; offset = 0; data = Bytes.of_string "x" };
+          ]);
+    Alcotest.test_case "corrupted challenge tag is dropped without a genesis"
+      `Quick (fun () ->
+        (* 'C' xor 0x05 = 'F': a challenge hit by one corrupted byte
+           decodes as a valid CfaChallenge, since both share a layout
+           and the frame carries no checksum.  A prover without a CFA
+           monitor (the swarm's) must keep dropping it. *)
+        let frame =
+          Protocol.encode (Protocol.Challenge { seq = 11; id = loaded; nonce })
+        in
+        Bytes.set frame 0 (Char.chr (Char.code (Bytes.get frame 0) lxor 0x05));
+        match Protocol.decode frame with
+        | Ok (Protocol.CfaChallenge { seq = 11; _ } as msg) ->
+            check_bool "no genesis: dropped" true (fst (answer msg) = None);
+            check_bool "with a genesis it would be answered" true
+              (match fst (answer ~genesis:(genesis ()) msg) with
+              | Some (Protocol.CfaResponse _) -> true
+              | _ -> false)
+        | _ -> Alcotest.fail "expected the corrupted frame to decode as CFA");
   ]
 
 (* --- Protocol ---------------------------------------------------------------- *)
@@ -531,6 +638,7 @@ let () =
     [
       ("link", link_tests);
       ("protocol", protocol_tests);
+      ("campaign-answer", campaign_answer_tests);
       ("protocol-properties", protocol_property_tests);
       ("cosim", cosim_tests);
       ("cfa-cosim", cfa_cosim_tests);

@@ -107,27 +107,6 @@ let gateway_tests =
           r.Gateway.admitted (Gateway.settled r);
         check_bool "queue stayed bounded under faults" true
           (r.Gateway.max_queue_depth <= r.Gateway.queue_bound));
-    Alcotest.test_case "retained aggregation serves the gateway identically"
-      `Quick (fun () ->
-        (* Opting the gateway's aggregator into the incremental Retain
-           tree must not change a single admission, attestation or shed
-           decision — only the sealing strategy underneath. *)
-        let run aggregation =
-          Gateway.run
-            ~config:{ Gateway.default_config with Gateway.aggregation }
-            ~devices:48 ~slices:200 ~arrival_permille:4000 ~seed:17 ()
-        in
-        let rebuild = run Aggregator.Rebuild in
-        let retain = run Aggregator.Retain in
-        check_int "same arrivals" rebuild.Gateway.arrivals
-          retain.Gateway.arrivals;
-        check_int "same admissions" rebuild.Gateway.admitted
-          retain.Gateway.admitted;
-        check_int "same attestations" rebuild.Gateway.attested
-          retain.Gateway.attested;
-        check_int "same sheds" (Gateway.shed rebuild) (Gateway.shed retain);
-        check_bool "retained run still seals batches" true
-          (retain.Gateway.batches > 0));
   ]
 
 (* --- Determinism under load ------------------------------------------------- *)
