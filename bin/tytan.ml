@@ -41,13 +41,29 @@ let usage fmt =
 let seed_arg ?(doc = "Campaign PRNG seed.") () =
   Arg.(value & opt int 1 & info [ "seed" ] ~doc)
 
+(* An integer option confined to [lo..hi]: a value outside is a usage
+   error (exit 124), not an exception from deep inside an engine. *)
+let int_in ?(hi = max_int) lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < lo || n > hi ->
+        Error
+          (`Msg
+             (if hi = max_int then Printf.sprintf "%d is not >= %d" n lo
+              else Printf.sprintf "%d is not in %d..%d" n lo hi))
+    | result -> result
+  in
+  Arg.conv ~docv:"INT" (parse, Format.pp_print_int)
+
+let positive = int_in 1
+
 let devices_arg ~default ?(doc = "Fleet size.") () =
-  Arg.(value & opt int default & info [ "devices" ] ~doc)
+  Arg.(value & opt positive default & info [ "devices" ] ~doc)
 
 let faults_arg ~doc = Arg.(value & flag & info [ "faults" ] ~doc)
 
 let loss_arg ?(default = 10) ?(doc = "Uplink frame loss, percent.") () =
-  Arg.(value & opt int default & info [ "loss" ] ~doc)
+  Arg.(value & opt (int_in ~hi:100 0) default & info [ "loss" ] ~doc)
 
 let verify_arg =
   Arg.(
@@ -361,9 +377,6 @@ let fleet devices epochs seed faults mode loss rollout domains steady churn
   in
   if steady && mode <> Swarm.Incremental then
     usage "--steady requires --mode incremental";
-  if domains < 1 then usage "--domains must be at least 1";
-  if churn < 0 || churn > 1000 then
-    usage "--churn must be in 0..1000 (permille)";
   let rollout =
     match rollout with
     | "none" -> None
@@ -394,7 +407,9 @@ let fleet devices epochs seed faults mode loss rollout domains steady churn
 
 let fleet_cmd =
   let epochs =
-    Arg.(value & opt int 4 & info [ "epochs" ] ~doc:"Fresh-nonce attestation rounds.")
+    Arg.(
+      value & opt positive 4
+      & info [ "epochs" ] ~doc:"Fresh-nonce attestation rounds.")
   in
   let faults =
     faults_arg
@@ -422,7 +437,7 @@ let fleet_cmd =
   in
   let domains =
     Arg.(
-      value & opt int 1
+      value & opt positive 1
       & info [ "domains" ]
           ~doc:
             "Shard host-side verification across this many OCaml domains. \
@@ -440,7 +455,7 @@ let fleet_cmd =
   in
   let churn =
     Arg.(
-      value & opt int 0
+      value & opt (int_in ~hi:1000 0) 0
       & info [ "churn" ]
           ~doc:
             "Reboot this permille of the fleet per epoch on a seeded \
@@ -488,12 +503,12 @@ let serve devices slices rate seed faults loss arrival think verify =
 let serve_cmd =
   let slices =
     Arg.(
-      value & opt int 512
+      value & opt positive 512
       & info [ "slices" ] ~doc:"Slices of offered load before the drain.")
   in
   let rate =
     Arg.(
-      value & opt int 4000
+      value & opt (int_in 0) 4000
       & info [ "arrival-rate" ]
           ~doc:"Offered load: session arrivals per 1000 slices.")
   in
@@ -514,7 +529,7 @@ let serve_cmd =
   in
   let think =
     Arg.(
-      value & opt int 8
+      value & opt (int_in 0) 8
       & info [ "think" ]
           ~doc:"Closed-loop think time, slices between settle and next ask.")
   in
@@ -555,8 +570,6 @@ let fleet_platform_key seed =
   fun ~serial -> Registry.platform_key registry ~serial
 
 let ota devices epochs canary seed faults loss stale leaky verify =
-  if devices <= 0 then usage "--devices must be positive";
-  if epochs <= 0 then usage "--epochs must be positive";
   if canary <= 0 || canary > devices then usage "--canary must be in 1..devices";
   let incumbent = Tasks.counter () in
   let waves =
@@ -592,7 +605,7 @@ let ota devices epochs canary seed faults loss stale leaky verify =
 let ota_cmd =
   let epochs =
     Arg.(
-      value & opt int 3
+      value & opt positive 3
       & info [ "epochs" ]
           ~doc:"Clean firmware waves, versions 1..K, each canaried.")
   in
@@ -656,8 +669,6 @@ let audit devices slices canary seed faults trail slo verify_chain tamper
     json_path perfetto_path =
   let module Gateway = Tytan_serve.Gateway in
   let module Swarm = Tytan_provision.Swarm in
-  if devices <= 0 then usage "--devices must be positive";
-  if slices <= 0 then usage "--slices must be positive";
   if canary <= 0 || canary > devices then usage "--canary must be in 1..devices";
   let tamper_kind =
     match tamper with
@@ -795,7 +806,7 @@ let audit devices slices canary seed faults trail slo verify_chain tamper
 let audit_cmd =
   let slices =
     Arg.(
-      value & opt int 256
+      value & opt positive 256
       & info [ "slices" ] ~doc:"Gateway slices of offered load.")
   in
   let canary =
@@ -1265,7 +1276,7 @@ let cfa_cmd =
   in
   let capacity =
     Arg.(
-      value & opt int 4096
+      value & opt positive 4096
       & info [ "capacity" ] ~doc:"Log ring capacity, edges.")
   in
   Cmd.v

@@ -31,7 +31,6 @@ let default_config =
   }
 
 let key_window_base = 0xF000_2000
-let mac_window_base = 0xF000_3000
 
 (* Manifest declass windows are attacker-controlled: honoured blindly, a
    hostile image could declare a "declass" window over the key-derivation

@@ -40,14 +40,11 @@ type config = {
 val default_config : config
 (** Platform key Kp bytes at 0x200, the attestation-key derivation
     window at {!key_window_base}, and the MAC engine's input block at
-    {!mac_window_base} as the declassifier — matching the platform
+    0xF000_3000 as the declassifier — matching the platform
     memory map without depending on the core library. *)
 
 val key_window_base : int
 (** 0xF000_2000 — where Ka-derived material is read back (16 bytes). *)
-
-val mac_window_base : int
-(** 0xF000_3000 — the MAC engine input block (64 bytes). *)
 
 val run :
   config:config ->

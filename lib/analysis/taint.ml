@@ -38,9 +38,6 @@ type sources = {
   declass_windows : (int * int) list;
 }
 
-let no_sources =
-  { secret_windows = []; secret_ranges = []; declass_windows = [] }
-
 (* Interval classification: [`Inside] when [lo, hi] is contained in one
    region, [`Overlaps] when it merely intersects one, [`Outside]
    otherwise.  The callbacks receive the matching region's label. *)

@@ -39,7 +39,6 @@ type t =
   | Maybe of string  (** possibly secret; the source description *)
   | Secret of string  (** provably secret; the source description *)
 
-val is_tainted : t -> bool
 val join : t -> t -> t
 
 val weaken : t -> t
@@ -55,8 +54,6 @@ type sources = {
   declass_windows : (int * int) list;
       (** absolute [(base, size)] crypto regions: stores declassify *)
 }
-
-val no_sources : sources
 
 type result = {
   taints : t array option array;
@@ -74,6 +71,3 @@ val run : sources -> stack_region:int * int -> Dataflow.t -> result
     {!Dataflow.run}: stores that may alias it invalidate the spill
     model. *)
 
-val load_taint : sources -> (int * int * t) list ref -> Absval.t -> bytes:int -> t
-(** Classify one load address against the sources and a memory-taint
-    set (exposed for the flow checker's store-sink classification). *)

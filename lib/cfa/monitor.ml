@@ -135,7 +135,6 @@ let find t ~id =
   List.find_opt (fun s -> Task_id.equal s.id id) t.sessions
 
 let log s = s.log
-let session_id s = s.id
 let ring_region s = Region.make ~base:s.ring_base ~size:s.ring_size
 let events_logged t = t.events
 

@@ -38,7 +38,6 @@ val unwatch : t -> session -> unit
 
 val find : t -> id:Task_id.t -> session option
 val log : session -> Log.t
-val session_id : session -> Task_id.t
 
 val ring_region : session -> Region.t
 (** Where the protected ring lives (for tests probing the EA-MPU rule). *)

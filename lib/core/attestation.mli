@@ -77,8 +77,6 @@ val local_attest : t -> Task_id.t -> bool
 (** Is a task with this identity currently loaded?  (A local verifier's
     view of the RTM directory.) *)
 
-val loaded_identities : t -> Task_id.t list
-
 val remote_attest : t -> id:Task_id.t -> nonce:bytes -> report option
 (** Produce a report for a loaded task; [None] if no such task is loaded.
     Charges cycles for the key derivation and MAC. *)
@@ -101,8 +99,6 @@ type mac_state = Tytan_crypto.Hmac.state
 (** Precomputed per-device HMAC key schedule: the two Ka key-pad
     compressions, absorbed once per device instead of once per epoch.
     Immutable, so shareable across domains. *)
-
-val prepare_mac : ka:bytes -> mac_state
 
 val expected_mac_with : mac_state -> id:Task_id.t -> nonce:bytes -> bytes
 (** [expected_mac] via a precomputed key schedule — same tag, two fewer

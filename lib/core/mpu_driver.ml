@@ -5,10 +5,9 @@ type t = {
   eampu : Eampu.t;
   clock : Cycles.t;
   code_eip : Word.t;
-  mutable installed : int;
 }
 
-let create eampu clock ~code_eip = { eampu; clock; code_eip; installed = 0 }
+let create eampu clock ~code_eip = { eampu; clock; code_eip }
 let eampu t = t.eampu
 let code_eip t = t.code_eip
 
@@ -20,7 +19,6 @@ let try_install t rule =
       | (_, _) :: _ -> (Error "EA-MPU: rule conflicts with installed rule", slot)
       | [] ->
           Eampu.set_slot t.eampu slot (Some rule);
-          t.installed <- t.installed + 1;
           (Ok slot, slot))
 
 let install_rule t rule =
@@ -41,4 +39,3 @@ let install_static t rule =
 
 let remove_slot t slot = Eampu.clear_slot t.eampu slot
 let remove_slots t slots = List.iter (remove_slot t) slots
-let rules_installed t = t.installed

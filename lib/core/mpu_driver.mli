@@ -29,6 +29,3 @@ val install_static : t -> Eampu.rule -> (int, string) result
 
 val remove_slot : t -> int -> unit
 val remove_slots : t -> int list -> unit
-
-val rules_installed : t -> int
-(** Dynamic installations performed so far. *)

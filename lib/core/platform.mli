@@ -131,10 +131,6 @@ val run_ticks : t -> int -> unit
 val poll : t -> unit
 (** Poll the tick timer and every attached pollable device (watchdogs). *)
 
-val add_pollable : t -> (unit -> unit) -> unit
-(** Register a closure run on every {!poll} — how time-sensitive devices
-    (e.g. watchdogs) observe the clock between instructions. *)
-
 val set_pre_exit_hook : t -> (Tcb.t -> unit) -> unit
 (** Install the hook run at the {e start} of task exit, before IPC
     teardown and before the loader reclaims the task's memory — the dead

@@ -48,9 +48,6 @@ let identity_of_telf telf =
   Sha1.feed ctx telf.image;
   Task_id.of_digest (Sha1.finalize ctx)
 
-let blocks_of (telf : Telf.t) =
-  max 1 ((Bytes.length telf.image + Sha1.block_size - 1) / Sha1.block_size)
-
 type job = {
   ctx : Sha1.ctx;
   snapshot : bytes;  (** loaded image with relocation reverted *)
@@ -77,7 +74,7 @@ let start_measure t ~base ~(telf : Telf.t) =
   { ctx; snapshot; offset = 0; span }
 
 (* One step = one 64-byte block, so the total measurement cost is
-   base + blocks_of · per_block (Table 7); the final step also pays for
+   base + blocks · per_block (Table 7); the final step also pays for
    the digest finalisation. *)
 let step_measure t job =
   let clock = Cpu.clock t.cpu in

@@ -58,9 +58,6 @@ val measure : t -> base:Word.t -> telf:Telf.t -> Task_id.t
 (** Run a whole measurement without yielding (benchmarks; also the
     non-interruptible-loader ablation). *)
 
-val blocks_of : Telf.t -> int
-(** 64-byte SHA-1 blocks a measurement of this binary processes. *)
-
 (** {2 Task directory} *)
 
 val register : t -> entry -> unit

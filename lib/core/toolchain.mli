@@ -23,10 +23,6 @@ val reason_start : int
 val reason_resume : int
 val reason_message : int
 
-val swi_ipc_done : int
-(** SWI number the entry routine raises after a synchronous message is
-    processed (4). *)
-
 val entry_stub_instructions : int
 (** Instruction count of the generated stub (for size accounting — the
     paper notes secure tasks' entry routines "slightly increase" their

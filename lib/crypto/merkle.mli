@@ -34,7 +34,6 @@ val build : bytes array -> t
     on an empty array. *)
 
 val root : t -> bytes
-val leaf_count : t -> int
 
 val proof : t -> int -> proof
 (** Membership proof for the leaf at [index]. *)

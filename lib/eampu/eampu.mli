@@ -39,11 +39,9 @@ type rule =
 
 type t
 
-val default_slot_count : int
-(** 18, as in the paper's evaluation platform. *)
-
 val create : ?slots:int -> unit -> t
-(** A fresh, disabled EA-MPU with all slots empty. *)
+(** A fresh, disabled EA-MPU with all slots empty; [slots] defaults to
+    18, as in the paper's evaluation platform. *)
 
 val slot_count : t -> int
 val slot : t -> int -> rule option
@@ -57,7 +55,6 @@ val enabled : t -> bool
 val enable : t -> unit
 (** Secure boot enables enforcement once the static rules are in place. *)
 
-val iter_slots : t -> (int -> rule -> unit) -> unit
 val used_slots : t -> int
 
 val first_free_slot : t -> int option

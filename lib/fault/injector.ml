@@ -12,7 +12,6 @@ type t = {
   rng : Fault_plan.Prng.t;
   mutable queue : Fault_plan.event list;  (* sorted by tick *)
   mutable counts : (string * int) list;
-  mutable missed : int;
   (* Live glitch state consulted by the memory hooks. *)
   mutable write_glitch_left : int;
   mutable write_glitch_bit : int;
@@ -58,7 +57,6 @@ let create platform ~(plan : Fault_plan.t) =
       rng = Fault_plan.Prng.create plan.Fault_plan.seed;
       queue = plan.Fault_plan.events;
       counts = [];
-      missed = 0;
       write_glitch_left = 0;
       write_glitch_bit = 0;
       mmio_glitch_left = [];
@@ -97,7 +95,6 @@ let apply t (ev : Fault_plan.event) =
           Kernel.kill_task t.kernel tcb;
           bump t "task-kill"
       | None ->
-          t.missed <- t.missed + 1;
           Trace.emitf t.trace ~source:"inject" "kill target %s absent" name)
   | Task_hang { name } -> (
       match Kernel.find_task_by_name t.kernel name with
@@ -105,7 +102,6 @@ let apply t (ev : Fault_plan.event) =
           Kernel.suspend_task t.kernel tcb;
           bump t "task-hang"
       | None ->
-          t.missed <- t.missed + 1;
           Trace.emitf t.trace ~source:"inject" "hang target %s absent" name)
   | Burst_loss _ | Device_stall _ | Late_reply _ | Frame_truncate _
   | Counter_reset _ | Canary_crash _ ->
@@ -145,4 +141,3 @@ let injected t =
   List.sort (fun (a, _) (b, _) -> compare a b) t.counts
 
 let pending t = List.length t.queue
-let missed_targets t = t.missed

@@ -31,5 +31,3 @@ val injected : t -> (string * int) list
 val pending : t -> int
 (** Scheduled events not yet applied. *)
 
-val missed_targets : t -> int
-(** Task kill/hang events whose target task did not exist. *)

@@ -92,8 +92,5 @@ val validate : program -> (unit, string) result
 (** Undefined variables, oversized payloads, out-of-range inbox words,
     duplicate globals, secrets that name no declared global. *)
 
-val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : Format.formatter -> stmt -> unit
-
 val pp : Format.formatter -> program -> unit
 (** Source-like rendering, used in counterexample printing and docs. *)

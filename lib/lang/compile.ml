@@ -230,8 +230,6 @@ let build ~secure (t : Ast.program) =
   in
   (program, List.rev !bounds)
 
-let to_program ~secure t = fst (build ~secure t)
-
 (* Every receiver a [Send] can name is statically known (task identities
    are literals in the AST), so the compiler can prove the program's IPC
    topology and declare it in the image manifest.  A task that sends

@@ -9,10 +9,6 @@
 
 open Tytan_telf
 
-val to_program : secure:bool -> Ast.program -> Tytan_machine.Assembler.program
-(** Lower to an assembled program (with the secure entry stub when
-    [secure]).  @raise Invalid_argument when {!Ast.validate} fails. *)
-
 val to_telf : ?secure:bool -> ?stack_size:int -> Ast.program -> Telf.t
 (** Convenience: lower and package ([secure] defaults to true,
     [stack_size] to 512). *)

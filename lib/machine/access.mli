@@ -10,8 +10,6 @@ type kind =
   | Write
   | Execute
 
-val pp_kind : Format.formatter -> kind -> unit
-
 type violation = {
   eip : Word.t;  (** instruction pointer of the code performing the access *)
   addr : Word.t;  (** target address *)

@@ -36,18 +36,6 @@ let branch_kind_of_code = function
   | 7 -> Some Iret_return
   | _ -> None
 
-let pp_branch_kind ppf k =
-  Format.pp_print_string ppf
-    (match k with
-    | Direct_jump -> "jmp"
-    | Cond_taken -> "b.taken"
-    | Indirect_jump -> "jmpr"
-    | Direct_call -> "call"
-    | Indirect_call -> "callr"
-    | Return -> "ret"
-    | Swi_entry -> "swi"
-    | Iret_return -> "iret")
-
 type branch_hook = src:Word.t -> dst:Word.t -> kind:branch_kind -> unit
 
 type t = {
@@ -96,7 +84,6 @@ let set_check t check = t.check <- check
 let set_fault_handler t f = t.fault_handler <- Some f
 let halted t = t.halted
 let halt t = t.halted <- true
-let unhalt t = t.halted <- false
 
 let current_code_eip t =
   match t.firmware_eip with

@@ -51,7 +51,6 @@ val branch_kind_code : branch_kind -> int
 (** Stable wire encoding, [0..7]. *)
 
 val branch_kind_of_code : int -> branch_kind option
-val pp_branch_kind : Format.formatter -> branch_kind -> unit
 
 type branch_hook = src:Word.t -> dst:Word.t -> kind:branch_kind -> unit
 
@@ -89,7 +88,6 @@ val set_fault_handler : t -> (Access.violation -> unit) -> unit
 
 val halted : t -> bool
 val halt : t -> unit
-val unhalt : t -> unit
 
 (** {2 Checked memory access}
 
@@ -98,8 +96,6 @@ val unhalt : t -> unit
 
 val load32 : t -> Word.t -> Word.t
 val store32 : t -> Word.t -> Word.t -> unit
-val load8 : t -> Word.t -> int
-val store8 : t -> Word.t -> int -> unit
 
 val load_bytes : t -> Word.t -> int -> bytes
 val store_bytes : t -> Word.t -> bytes -> unit
@@ -108,18 +104,9 @@ val with_firmware : t -> eip:Word.t -> (unit -> 'a) -> 'a
 (** [with_firmware cpu ~eip f] runs [f] with memory accesses attributed to
     code address [eip] (a trusted component's code region). *)
 
-val current_code_eip : t -> Word.t
-(** The code identity used for protection checks right now. *)
-
 (** {2 Stack and interrupt plumbing (used by the kernel)} *)
 
 val push_word : t -> Word.t -> unit
-val pop_word : t -> Word.t
-
-val enter_vector : t -> int -> origin:Word.t -> unit
-(** Take an exception through vector [n] exactly as the hardware would:
-    latch [origin], push EFLAGS and EIP, clear IF, and transfer control
-    (running the firmware handler if the vector points at one). *)
 
 val interrupt_return : t -> unit
 (** Pop EIP and EFLAGS from the current stack — what a hardware interrupt

@@ -3,7 +3,7 @@ module Timer = struct
     engine : Exception_engine.t;
     clock : Cycles.t;
     irq : int;
-    mutable period : int;
+    period : int;
     mutable next_deadline : int;
     mutable enabled : bool;
     mutable fired : int;
@@ -31,11 +31,6 @@ module Timer = struct
       let missed = (now - t.next_deadline) / t.period in
       t.next_deadline <- t.next_deadline + ((missed + 1) * t.period)
     end
-
-  let set_period t p =
-    if p <= 0 then invalid_arg "Timer.set_period: period must be positive";
-    t.period <- p;
-    t.next_deadline <- Cycles.now t.clock + p
 
   let period t = t.period
   let enable t = t.enabled <- true

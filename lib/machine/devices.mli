@@ -19,7 +19,6 @@ module Timer : sig
   (** Fire the IRQ if the clock has crossed the next deadline.  Called by
       the platform between instructions. *)
 
-  val set_period : t -> int -> unit
   val period : t -> int
   val enable : t -> unit
   val disable : t -> unit
@@ -111,7 +110,6 @@ module Watchdog : sig
 
   val enable : t -> unit
   val disable : t -> unit
-  val set_timeout : t -> int -> unit
   val timeout : t -> int
   val remaining : t -> int
   (** Cycles until the next bite (0 when disabled). *)

@@ -28,8 +28,6 @@ let of_bytes ?(base = 0) b =
         };
       ]
 
-let of_memory mem ~base ~len = of_bytes ~base (Memory.read_bytes mem base len)
-
 let hex raw =
   String.concat " "
     (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))

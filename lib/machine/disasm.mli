@@ -15,8 +15,6 @@ val of_bytes : ?base:Word.t -> bytes -> line list
     the last full slot are reported as a final line with [instr = None]
     and the remainder in [raw] — never silently dropped. *)
 
-val of_memory : Memory.t -> base:Word.t -> len:int -> line list
-
 val pp_line : Format.formatter -> line -> unit
 (** ["0001A0  swi 3"], or the raw bytes in hex when undecodable. *)
 

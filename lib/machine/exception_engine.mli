@@ -17,20 +17,14 @@
 
 type t
 
-val vector_count : int
-(** Total number of vectors (32). *)
-
 val entry_size : int
 (** Bytes per IDT entry (4). *)
 
 val idt_size : int
-(** [vector_count * entry_size]. *)
+(** 32 vectors times [entry_size]. *)
 
 val swi_vector_base : int
 (** First vector reachable by [SWI] (16). *)
-
-val firmware_base : Word.t
-(** Base of the firmware handler window. *)
 
 val create : Memory.t -> idt_base:Word.t -> t
 (** The IDT is zero-initialised at [idt_base]. *)

@@ -37,7 +37,6 @@ let assign t bit on =
 
 let zero_flag t = test t bit_zero
 let negative_flag t = test t bit_negative
-let carry_flag t = test t bit_carry
 let interrupts_enabled t = test t bit_interrupts
 let set_zero t on = assign t bit_zero on
 let set_negative t on = assign t bit_negative on

@@ -13,8 +13,6 @@
 
 type t
 
-val gpr_count : int
-
 val sp : int
 (** Index of the stack pointer register (15). *)
 
@@ -38,7 +36,6 @@ val set_eflags : t -> Word.t -> unit
 
 val zero_flag : t -> bool
 val negative_flag : t -> bool
-val carry_flag : t -> bool
 val interrupts_enabled : t -> bool
 
 val set_zero : t -> bool -> unit

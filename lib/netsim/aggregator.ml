@@ -37,8 +37,6 @@ type shard = {
   mac_states : (string, Crypto.Hmac.state) Hashtbl.t;
   cache : (string, entry) Hashtbl.t;
   mutable queue : (string * Attestation.report) list;  (* newest first *)
-  mutable hits : int;
-  mutable misses : int;
   mutable key_derivations : int;
   mutable tel_hits : int;  (* telemetry deltas not yet flushed *)
   mutable tel_misses : int;
@@ -63,8 +61,7 @@ type retain_state = {
 type t = {
   ka_of : serial:string -> bytes;
   clock : Cycles.t;
-  telemetry : Telemetry.t option;
-  batch_limit : int;
+  telemetry : Telemetry.t;
   kind : kind;
   shards : shard array;
   sequential : bool;  (* single shard: admit + telemetry inline *)
@@ -86,16 +83,15 @@ let make_shard clock =
     mac_states = Hashtbl.create 64;
     cache = Hashtbl.create 64;
     queue = [];
-    hits = 0;
-    misses = 0;
     key_derivations = 0;
     tel_hits = 0;
     tel_misses = 0;
   }
 
-let create ~ka_of ~clock ?telemetry ?(batch_limit = 256) ?(kind = Rebuild)
-    ?(shards = 1) () =
-  if batch_limit <= 0 then invalid_arg "Aggregator.create: batch_limit";
+(* A [Rebuild] batch this full seals eagerly. *)
+let batch_limit = 256
+
+let create ~ka_of ~clock ~telemetry ?(kind = Rebuild) ?(shards = 1) () =
   if shards <= 0 then invalid_arg "Aggregator.create: shards";
   let sequential = shards = 1 in
   let shards =
@@ -109,7 +105,6 @@ let create ~ka_of ~clock ?telemetry ?(batch_limit = 256) ?(kind = Rebuild)
     ka_of;
     clock;
     telemetry;
-    batch_limit;
     kind;
     shards;
     sequential;
@@ -139,16 +134,14 @@ let create ~ka_of ~clock ?telemetry ?(batch_limit = 256) ?(kind = Rebuild)
   }
 
 let on_seal t f = t.seal_hook <- Some f
-let emit t f = match t.telemetry with Some tel -> f tel | None -> ()
+let tally t name = Telemetry.incr t.telemetry ~component:"swarm" name
 
 let epoch t = t.epoch
 
 let record_seal t ~root ~size =
   Hashtbl.replace t.current_roots (Bytes.to_string root) ();
   t.batches <- { epoch = t.epoch; root; size } :: t.batches;
-  emit t (fun tel ->
-      Telemetry.observe tel ~component:"swarm" "batch_size" size;
-      Telemetry.incr tel ~component:"swarm" "batches_sealed");
+  tally t "batches_sealed";
   match t.seal_hook with
   | Some f -> f ~epoch:t.epoch ~root ~leaves:size
   | None -> ()
@@ -313,7 +306,7 @@ let leaf_payload ~serial ~(report : Attestation.report) =
 let admit_rebuild t ~serial report =
   t.pending <- (serial, leaf_payload ~serial ~report) :: t.pending;
   t.pending_count <- t.pending_count + 1;
-  if t.pending_count >= t.batch_limit then seal_rebuild t
+  if t.pending_count >= batch_limit then seal_rebuild t
 
 let admit_now t ~serial (report : Attestation.report) =
   match t.retain with
@@ -331,16 +324,11 @@ let check_report ?(shard = 0) t ~serial ~expected ~nonce
   else
     match Hashtbl.find_opt sh.cache serial with
     | Some e when Crypto.Constant_time.equal e.nonce nonce ->
-        sh.hits <- sh.hits + 1;
-        if t.sequential then
-          emit t (fun tel -> Telemetry.incr tel ~component:"swarm" "cache_hits")
+        if t.sequential then tally t "cache_hits"
         else sh.tel_hits <- sh.tel_hits + 1;
         Crypto.Constant_time.equal e.expected_mac report.mac
     | _ ->
-        sh.misses <- sh.misses + 1;
-        if t.sequential then
-          emit t (fun tel ->
-              Telemetry.incr tel ~component:"swarm" "cache_misses")
+        if t.sequential then tally t "cache_misses"
         else sh.tel_misses <- sh.tel_misses + 1;
         let st = mac_state_of t sh serial in
         let expected_mac =
@@ -371,13 +359,12 @@ let drain t =
         sh.queue <- [];
         List.iter (fun (serial, report) -> admit_now t ~serial report) queued;
         if sh.tel_hits > 0 then begin
-          emit t (fun tel ->
-              Telemetry.add tel ~component:"swarm" "cache_hits" sh.tel_hits);
+          Telemetry.add t.telemetry ~component:"swarm" "cache_hits" sh.tel_hits;
           sh.tel_hits <- 0
         end;
         if sh.tel_misses > 0 then begin
-          emit t (fun tel ->
-              Telemetry.add tel ~component:"swarm" "cache_misses" sh.tel_misses);
+          Telemetry.add t.telemetry ~component:"swarm" "cache_misses"
+            sh.tel_misses;
           sh.tel_misses <- 0
         end;
         let now = Cycles.now sh.sclock in
@@ -397,12 +384,9 @@ let query ?(shard = 0) t ~serial ~epoch =
   | Some { sealed_root = Some root; _ } ->
       Cycles.charge t.clock Cost_model.swarm_root_check;
       let ok = Hashtbl.mem t.current_roots (Bytes.to_string root) in
-      if ok then begin
-        (* Serving the cached measurement — the O(1) fast path the
-           scalar verifier pays a full KDF + HMAC for. *)
-        t.shards.(0).hits <- t.shards.(0).hits + 1;
-        emit t (fun tel -> Telemetry.incr tel ~component:"swarm" "cache_hits")
-      end;
+      (* Serving the cached measurement — the O(1) fast path the
+         scalar verifier pays a full KDF + HMAC for. *)
+      if ok then tally t "cache_hits";
       ok
   | Some { sealed_root = None; _ } | None -> false
 
@@ -425,9 +409,7 @@ let carried_healthy t ~serial =
       | Some idx when rs.slot_ids.(idx) <> None && rs.slot_epochs.(idx) = t.epoch
         ->
           Cycles.charge t.clock Cost_model.swarm_root_check;
-          t.shards.(0).hits <- t.shards.(0).hits + 1;
-          emit t (fun tel ->
-              Telemetry.incr tel ~component:"swarm" "cache_hits");
+          tally t "cache_hits";
           true
       | _ -> false)
 
@@ -462,7 +444,5 @@ let batches t =
 
 let last_tree t = t.last_tree
 
-let sum_shards t f = Array.fold_left (fun acc sh -> acc + f sh) 0 t.shards
-let cache_hits t = sum_shards t (fun sh -> sh.hits)
-let cache_misses t = sum_shards t (fun sh -> sh.misses)
-let key_derivations t = sum_shards t (fun sh -> sh.key_derivations)
+let key_derivations t =
+  Array.fold_left (fun acc sh -> acc + sh.key_derivations) 0 t.shards

@@ -44,8 +44,9 @@
     calling domain's compression counters (SHA-1 at
     [Cost_model.crypto_per_compression], SHA-256 at
     [Cost_model.sha256_per_compression]); cache probes charge
-    [swarm_cache_lookup] / [swarm_root_check].  Hits, misses and batch
-    sizes flow through [lib/telemetry] when a registry is attached. *)
+    [swarm_cache_lookup] / [swarm_root_check].  Cache hits, misses and
+    sealed batches are counted only in the [telemetry] registry, as
+    [swarm.cache_hits], [swarm.cache_misses] and [swarm.batches_sealed]. *)
 
 open Tytan_core
 module Crypto = Tytan_crypto
@@ -70,16 +71,15 @@ type delta = { at_epoch : int; new_root : bytes; changed : delta_entry list }
 val create :
   ka_of:(serial:string -> bytes) ->
   clock:Tytan_machine.Cycles.t ->
-  ?telemetry:Tytan_telemetry.Telemetry.t ->
-  ?batch_limit:int ->
+  telemetry:Tytan_telemetry.Telemetry.t ->
   ?kind:kind ->
   ?shards:int ->
   unit ->
   t
 (** [ka_of] derives a device's attestation key (typically
     [Registry.attestation_key]); its cost is charged on first use per
-    device.  Under [Rebuild] (default) a full batch ([batch_limit],
-    default 256) seals eagerly and {!flush} seals the remainder; under
+    device.  Under [Rebuild] (default) a batch of 256 reports seals
+    eagerly and {!flush} seals the remainder; under
     [Retain] the epoch seals once, at {!flush}/{!begin_epoch}.
     [shards] (default 1) sizes the concurrent-checking shard array;
     with one shard the aggregator is byte-for-byte the sequential
@@ -162,9 +162,6 @@ val batches : t -> (int * bytes * int) list
 val last_tree : t -> (Crypto.Merkle.t * bytes array) option
 (** The most recently sealed [Rebuild] tree with its leaf payloads —
     membership proofs for audit ([Merkle.proof] / [Merkle.verify]). *)
-
-val cache_hits : t -> int
-val cache_misses : t -> int
 
 val key_derivations : t -> int
 (** How many devices have had [Ka] derived (≤ fleet size, campaign

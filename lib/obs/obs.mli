@@ -13,8 +13,10 @@
 
     Integrity mirrors the attestation story: each appended record
     extends [head = SHA-256(head ∥ record)], and every
-    [checkpoint_every] records the window is sealed under an RFC-6962
-    Merkle root.  {!Log.export} emits a self-contained binary trail;
+    [checkpoint_every] records the window is sealed under a
+    {!Tytan_crypto.Merkle} root.  That is not an RFC 6962 root: interior
+    nodes hash [left | 0x01 | right], not [0x01 | left | right].
+    {!Log.export} emits a self-contained binary trail;
     {!Log.verify_chain} re-derives everything and rejects truncation,
     splicing, reordering and bit flips — and never raises, whatever
     bytes it is fed. *)
@@ -127,8 +129,6 @@ module Slo : sig
     quarantine_max : int;  (** quarantine events per window *)
     abort_permille_max : int;  (** aborted / offered waves, whole run *)
   }
-
-  val default_spec : spec
 
   type indicator = {
     name : string;

@@ -130,8 +130,8 @@ let churn_events ~seed ~devices ~epochs ~churn_permille =
   end
 
 let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
-    ?(queries_per_epoch = 6) ?rollout:rollout_image ?obs ?(domains = 1)
-    ?(steady = false) ?(churn_permille = 0) () =
+    ?rollout:rollout_image ?obs ?(domains = 1) ?(steady = false)
+    ?(churn_permille = 0) () =
   if devices <= 0 then invalid_arg "Swarm.run: devices must be positive";
   if epochs <= 0 then invalid_arg "Swarm.run: epochs must be positive";
   if domains < 1 then invalid_arg "Swarm.run: domains must be positive";
@@ -140,6 +140,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
   if churn_permille < 0 || churn_permille > 1000 then
     invalid_arg "Swarm.run: churn_permille out of range";
   let domains = max 1 (min domains devices) in
+  let queries_per_epoch = 6 in
   let master =
     Bytes.of_string (Printf.sprintf "fleet-master-%08x" (seed land 0xFFFF_FFFF))
   in
@@ -176,6 +177,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
       Cycles.charge device_clock (r.vet_cycles_per_device * devices)
   | None -> ());
   let telemetry = Campaign.telemetry verifier_clock in
+  let cache_count name = Telemetry.counter telemetry ~component:"swarm" name in
   (* Flight-recorder plumbing: epoch loops restart their local slice
      clock at 0, so recorded timestamps add this global base. *)
   let obs_at = ref 0 in
@@ -248,7 +250,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
       Some
         (Aggregator.create
            ~ka_of:(fun ~serial -> Registry.attestation_key registry ~serial)
-           ~clock:verifier_clock ~telemetry ~batch_limit:256
+           ~clock:verifier_clock ~telemetry
            ~kind:(if mode = Incremental then Aggregator.Retain else Aggregator.Rebuild)
            ~shards:domains ())
   in
@@ -344,11 +346,8 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
     (match aggregator with
     | Some a -> Aggregator.begin_epoch a ~epoch:e
     | None -> ());
-    let hits0, misses0 =
-      match aggregator with
-      | Some a -> (Aggregator.cache_hits a, Aggregator.cache_misses a)
-      | None -> (0, 0)
-    in
+    let hits0 = cache_count "cache_hits" in
+    let misses0 = cache_count "cache_misses" in
     let cycles0 = Cycles.now verifier_clock in
     let challenge = Array.make devices true in
     if steady && e > 0 then
@@ -560,11 +559,8 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
         if (not (silent provers.(d) ~epoch:e)) && not provers.(d).tampered then
           if c <> 'A' && c <> 'a' then survived := false)
       verdicts;
-    let hits1, misses1, batch_list =
-      match aggregator with
-      | Some a ->
-          (Aggregator.cache_hits a, Aggregator.cache_misses a, Aggregator.batches a)
-      | None -> (0, 0, [])
+    let batch_list =
+      match aggregator with Some a -> Aggregator.batches a | None -> []
     in
     let epoch_batches =
       List.filter (fun (be, _, _) -> be = e) batch_list
@@ -588,8 +584,6 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
     in
     merge_worker_clocks ();
     let verify_cycles = Cycles.now verifier_clock - cycles0 in
-    Telemetry.observe telemetry ~component:"swarm" "epoch_verify_cycles"
-      verify_cycles;
     let count c = String.fold_left (fun n ch -> if ch = c then n + 1 else n) 0 in
     let challenged_n =
       Array.fold_left (fun n c -> if c then n + 1 else n) 0 challenge
@@ -605,8 +599,8 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
         slices = !slice;
         batches = List.length epoch_batches;
         root_hex;
-        cache_hits = hits1 - hits0;
-        cache_misses = misses1 - misses0;
+        cache_hits = cache_count "cache_hits" - hits0;
+        cache_misses = cache_count "cache_misses" - misses0;
         challenged = challenged_n;
         carried = devices - challenged_n;
         delta_changed;

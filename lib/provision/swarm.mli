@@ -4,8 +4,8 @@
     registry key hierarchy (each with its own seeded lossy {!Tytan_netsim.Link}
     and its own device-side attestation key), runs [epochs] fresh-nonce
     attestation rounds against the shared reference firmware
-    ({!Fleet.reference_image}), then polls fleet health
-    [queries_per_epoch] times per epoch.
+    ({!Fleet.reference_image}), then polls fleet health six times per
+    epoch (the report's [queries_per_epoch]).
 
     Three verifier engines drive {e identical wire traffic} — per-device
     {!Tytan_netsim.Verifier} retry sessions labelled [serial/eN], so the
@@ -142,7 +142,6 @@ val run :
   seed:int ->
   ?faults:bool ->
   ?loss_percent:int ->
-  ?queries_per_epoch:int ->
   ?rollout:Tytan_telf.Telf.t ->
   ?obs:Tytan_obs.Obs.Log.t ->
   ?domains:int ->
@@ -150,8 +149,8 @@ val run :
   ?churn_permille:int ->
   unit ->
   report
-(** Defaults: no faults, 10% frame loss, 6 health polls per epoch, no
-    rollout, [domains = 1], [steady = false], [churn_permille = 0].
+(** Defaults: no faults, 10% frame loss, no rollout, [domains = 1],
+    [steady = false], [churn_permille = 0].
     With [~rollout] the campaign first pushes that TELF to
     every device: an image that survives the six-check vet is adopted
     as the fleet firmware (and attested from then on); one that does

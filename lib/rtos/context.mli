@@ -26,10 +26,8 @@ type ops = {
   (** Resume [tcb] from its saved frame (or start it if never run). *)
 }
 
-val frame_words : int
-(** Words in a full frame: 2 hardware + 15 software (17). *)
-
 val frame_bytes : int
+(** Bytes in a full frame: 2 hardware + 15 software words (68). *)
 
 val build_initial_frame : Cpu.t -> Tcb.t -> unit
 (** Prepare the task's stack "as if it had been executed before and was
@@ -45,9 +43,6 @@ val build_initial_frame_raw :
 val save_frame : Cpu.t -> Tcb.t -> Word.t array -> unit
 (** The raw frame store (no cycle charge) — building block for the
     Int Mux's secure save path. *)
-
-val restore_frame : Cpu.t -> Tcb.t -> unit
-(** The raw frame reload + interrupt return (no cycle charge). *)
 
 val baseline : Cpu.t -> save_cost:int -> restore_cost:int -> ops
 (** The unmodified-FreeRTOS context ops.  [save_cost] and [restore_cost]

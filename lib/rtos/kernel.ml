@@ -68,7 +68,6 @@ let set_swi_hook t hook = t.swi_hook <- hook
 let set_on_exit t f = t.on_exit <- f
 let current t = Scheduler.current t.sched
 let idle_task t = t.idle
-let find_task t ~id = List.find_opt (fun tcb -> tcb.Tcb.id = id) t.tasks
 
 let find_task_by_name t name =
   List.find_opt (fun tcb -> String.equal tcb.Tcb.name name) t.tasks
@@ -87,13 +86,6 @@ let set_frame_reg t tcb ~reg ~value =
   if reg < 0 || reg > 14 then invalid_arg "Kernel.set_frame_reg: bad register";
   Cpu.with_firmware t.cpu ~eip:t.code_eip (fun () ->
       Cpu.store32 t.cpu (frame_slot tcb ~reg) value)
-
-let frame_reg t tcb ~reg =
-  if reg < 0 || reg > 14 then invalid_arg "Kernel.frame_reg: bad register";
-  Cpu.with_firmware t.cpu ~eip:t.code_eip (fun () ->
-      Cpu.load32 t.cpu (frame_slot tcb ~reg))
-
-let make_ready t tcb = Scheduler.add_ready t.sched tcb
 
 (* --- Dispatching ------------------------------------------------------- *)
 
@@ -495,8 +487,6 @@ let init_idle t ~code_base ~stack_base ~stack_size =
 
 let arm_timer t ~in_ticks ?period f =
   Sw_timer.arm t.timers ~at_tick:(Scheduler.tick_count t.sched + in_ticks) ?period f
-
-let cancel_timer t id = Sw_timer.cancel t.timers id
 
 let fault_handler t (violation : Access.violation) =
   t.faults <- t.faults + 1;

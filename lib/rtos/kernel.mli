@@ -132,11 +132,9 @@ val start : t -> unit
     drive the machine with {!Cpu.run}. *)
 
 val current : t -> Tcb.t option
-val find_task : t -> id:int -> Tcb.t option
 val find_task_by_name : t -> string -> Tcb.t option
 val all_tasks : t -> Tcb.t list
 
-val make_ready : t -> Tcb.t -> unit
 val suspend_task : t -> Tcb.t -> unit
 (** Keep the task loaded but stop scheduling it (paper: "a list of tasks
     that are loaded but should not be executed at the moment"). *)
@@ -156,8 +154,6 @@ val kill_task : t -> Tcb.t -> unit
 val set_frame_reg : t -> Tcb.t -> reg:int -> value:Word.t -> unit
 (** Write a register slot of a saved context frame (syscall return
     values).  Subject to EA-MPU checks under the kernel's identity. *)
-
-val frame_reg : t -> Tcb.t -> reg:int -> Word.t
 
 (** {2 Device interrupts (deferred handling)} *)
 
@@ -186,7 +182,6 @@ val queue : t -> int -> Rt_queue.t option
 (** {2 Software timers} *)
 
 val arm_timer : t -> in_ticks:int -> ?period:int -> (unit -> unit) -> Sw_timer.id
-val cancel_timer : t -> Sw_timer.id -> unit
 
 (** {2 Execution-time bounding} *)
 

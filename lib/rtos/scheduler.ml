@@ -92,8 +92,6 @@ let wake_due t =
 let ready_count t =
   Array.fold_left (fun n l -> n + List.length l) 0 t.ready
 
-let delayed_count t = List.length t.delayed
-
 let all_tasks t =
   let ready = Array.to_list t.ready |> List.concat in
   ready @ t.delayed

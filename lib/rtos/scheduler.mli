@@ -54,7 +54,6 @@ val wake_due : t -> Tcb.t list
     vs. queue timeout). *)
 
 val ready_count : t -> int
-val delayed_count : t -> int
 val all_tasks : t -> Tcb.t list
 (** Every task currently known to the scheduler structures. *)
 

@@ -74,7 +74,6 @@ let make ~id ~name ~priority ~secure ~region_base ~region_size ~code_base
   }
 
 let stack_top t = Word.add t.stack_base t.stack_size
-let is_ready t = t.state = Ready
 
 let pp_state ppf = function
   | Ready -> Format.pp_print_string ppf "ready"

@@ -84,6 +84,5 @@ val make :
 val stack_top : t -> Word.t
 (** One past the highest stack byte (initial SP). *)
 
-val is_ready : t -> bool
 val pp_state : Format.formatter -> state -> unit
 val pp : Format.formatter -> t -> unit

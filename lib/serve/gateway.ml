@@ -120,7 +120,6 @@ type t = {
   mutable inflight_n : int;
   mutable now : int;
   mutable fault_queue : Fault_plan.event list;
-  mutable fault_counts : (string * int) list;
   mutable arrivals : int;
   mutable admitted : int;
   mutable max_queue_depth : int;
@@ -203,7 +202,7 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
   let aggregator =
     Aggregator.create
       ~ka_of:(fun ~serial -> Registry.attestation_key registry ~serial)
-      ~clock ~telemetry ~batch_limit:256 ()
+      ~clock ~telemetry ()
   in
   (* Epoch-seal events ride the aggregator's observer hook: the sealed
      batch lands under the corr id of the epoch that collected it. *)
@@ -242,7 +241,6 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
     fault_queue =
       (if faults then network_faults ~seed ~devices ~horizon:fault_horizon
        else []);
-    fault_counts = [];
     arrivals = 0;
     admitted = 0;
     max_queue_depth = 0;
@@ -304,12 +302,6 @@ let malformed_frames t = count t "malformed_frames"
 let stale_frames t = count t "stale_frames"
 let unknown_frames t = count t "unknown_frames"
 
-let bump t label =
-  t.fault_counts <-
-    (match List.assoc_opt label t.fault_counts with
-    | Some n -> (label, n + 1) :: List.remove_assoc label t.fault_counts
-    | None -> (label, 1) :: t.fault_counts)
-
 let apply_due_faults t =
   let at = t.now in
   (* Apply [f] to the named prover and count the fault, if it exists. *)
@@ -317,7 +309,7 @@ let apply_due_faults t =
     match Hashtbl.find_opt t.index_of name with
     | Some i ->
         f t.provers.(i);
-        bump t label
+        Telemetry.incr t.telemetry ~component:"fault" label
     | None -> ()
   in
   let rec go () =
@@ -482,7 +474,6 @@ let settle t (s : session) ~verdict =
   Hashtbl.remove t.by_seq (s.s_serial, Verifier.seq s.verifier);
   let latency = t.now - s.admitted_at in
   t.latencies <- latency :: t.latencies;
-  Telemetry.observe t.telemetry ~component:"serve" "session_slices" latency;
   observe t ~corr:s.s_corr
     (Obs.Event.Session_settled
        { serial = s.s_serial; verdict = verdict_label verdict; latency });
@@ -634,9 +625,6 @@ let step t =
     t.inflight;
   t.inflight <- List.rev !still;
   t.inflight_n <- List.length t.inflight;
-  Telemetry.set_gauge t.telemetry ~component:"serve" "queue_depth"
-    (Queue.length t.pending_q);
-  Telemetry.set_gauge t.telemetry ~component:"serve" "inflight" t.inflight_n;
   t.now <- at + 1
 
 (* ---- reports ---------------------------------------------------------- *)
@@ -681,7 +669,6 @@ type report = {
   verifier_cycles : int;
   device_cycles : int;
   link : (string * int) list;
-  fault_counts : (string * int) list;
   telemetry : (string * int) list;
 }
 
@@ -748,7 +735,6 @@ let report_of t ~load_slices ~arrival_permille ~think =
     verifier_cycles = Cycles.now t.clock;
     device_cycles = Cycles.now t.device_clock;
     link = sum_links t.provers;
-    fault_counts = List.sort compare t.fault_counts;
     telemetry = Campaign.counters t.telemetry;
   }
 
@@ -861,7 +847,6 @@ let body r =
     r.stale_frames r.unknown_frames;
   add "verifier_cycles=%d device_cycles=%d\n" r.verifier_cycles r.device_cycles;
   List.iter (fun (k, v) -> add "  link.%s=%d\n" k v) r.link;
-  List.iter (fun (k, v) -> add "  fault.%s=%d\n" k v) r.fault_counts;
   List.iter (fun (k, v) -> add "  %s=%d\n" k v) r.telemetry;
   Buffer.contents b
 

@@ -177,8 +177,9 @@ type report = {
   verifier_cycles : int;
   device_cycles : int;
   link : (string * int) list;  (** summed link counters, fixed order *)
-  fault_counts : (string * int) list;  (** applied gateway faults, sorted *)
-  telemetry : (string * int) list;  (** counter snapshot, sorted *)
+  telemetry : (string * int) list;
+      (** counter snapshot, sorted; [fault.<label>] counts the applied
+          gateway faults *)
 }
 
 val shed : report -> int

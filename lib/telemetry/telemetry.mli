@@ -24,7 +24,6 @@ type key = {
 }
 
 val key : ?task:string -> component:string -> string -> key
-val compare_key : key -> key -> int
 val key_to_string : key -> string
 
 type t

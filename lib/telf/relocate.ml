@@ -12,5 +12,3 @@ let apply ~base ~image ~relocations =
 
 let revert ~base ~image ~relocations =
   patch ~image ~relocations (fun v -> Word.sub v base)
-
-let apply_count ~relocations = Array.length relocations

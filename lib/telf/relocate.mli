@@ -16,7 +16,3 @@ val apply : base:Word.t -> image:bytes -> relocations:int array -> unit
 val revert : base:Word.t -> image:bytes -> relocations:int array -> unit
 (** Subtract [base] from every relocated field, in place.
     [revert ~base] ∘ [apply ~base] is the identity. *)
-
-val apply_count : relocations:int array -> int
-(** Number of fields an [apply]/[revert] pass patches (the paper's
-    "number of addresses changed by relocation"). *)

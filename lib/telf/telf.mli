@@ -44,8 +44,7 @@ type t = {
 
 val magic : string
 val version : int
-val version_manifest : int
-(** The format version carrying a trailing manifest section (2). *)
+(** 1; a file with a trailing manifest section carries version 2. *)
 
 val header_size : int
 (** Fixed part of the header, excluding the relocation table (32). *)

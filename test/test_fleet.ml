@@ -9,6 +9,7 @@ open Tytan_netsim
 open Tytan_provision
 module Crypto = Tytan_crypto
 module Cycles = Tytan_machine.Cycles
+module Telemetry = Tytan_telemetry.Telemetry
 
 (* --- Differential: batched ≡ scalar ---------------------------------------- *)
 
@@ -307,24 +308,30 @@ let genuine_report ~serial ~nonce =
     mac = Attestation.expected_mac ~ka:(test_ka ~serial) ~id:fw_id ~nonce;
   }
 
-let make_aggregator () =
-  Aggregator.create ~ka_of:test_ka ~clock:(Cycles.create ()) ()
+(* The aggregator counts cache hits and misses only in its registry. *)
+let make_aggregator ?kind () =
+  let clock = Cycles.create () in
+  let telemetry = Campaign.telemetry clock in
+  (Aggregator.create ~ka_of:test_ka ~clock ~telemetry ?kind (), telemetry)
+
+let swarm_count telemetry name =
+  Telemetry.counter telemetry ~component:"swarm" name
 
 let aggregator_tests =
   [
     Alcotest.test_case "cached verdict only served within its nonce epoch"
       `Quick (fun () ->
-        let a = make_aggregator () in
+        let a, tel = make_aggregator () in
         Aggregator.begin_epoch a ~epoch:0;
         let n0 = Bytes.of_string "nonce-epoch-0" in
         let r0 = genuine_report ~serial:"s1" ~nonce:n0 in
         Alcotest.(check bool) "first check verifies" true
           (Aggregator.check_report a ~serial:"s1" ~expected:fw_id ~nonce:n0 r0);
-        Alcotest.(check int) "that was a miss" 1 (Aggregator.cache_misses a);
+        Alcotest.(check int) "that was a miss" 1 (swarm_count tel "cache_misses");
         Alcotest.(check bool) "re-check is served from the cache" true
           (Aggregator.check_report a ~serial:"s1" ~expected:fw_id ~nonce:n0 r0);
-        Alcotest.(check int) "hit counted" 1 (Aggregator.cache_hits a);
-        Alcotest.(check int) "no second miss" 1 (Aggregator.cache_misses a);
+        Alcotest.(check int) "hit counted" 1 (swarm_count tel "cache_hits");
+        Alcotest.(check int) "no second miss" 1 (swarm_count tel "cache_misses");
         Aggregator.flush a;
         Alcotest.(check bool) "query answers for the current epoch" true
           (Aggregator.query a ~serial:"s1" ~epoch:0);
@@ -343,7 +350,7 @@ let aggregator_tests =
           (Aggregator.key_derivations a));
     Alcotest.test_case "forged reports are rejected and never cached" `Quick
       (fun () ->
-        let a = make_aggregator () in
+        let a, tel = make_aggregator () in
         Aggregator.begin_epoch a ~epoch:0;
         let nonce = Bytes.of_string "nonce-x" in
         let forged =
@@ -355,7 +362,8 @@ let aggregator_tests =
           (Aggregator.check_report a ~serial:"s1" ~expected:fw_id ~nonce forged);
         Alcotest.(check bool) "forgery re-checked, not served from cache" false
           (Aggregator.check_report a ~serial:"s1" ~expected:fw_id ~nonce forged);
-        Alcotest.(check int) "both were misses" 2 (Aggregator.cache_misses a);
+        Alcotest.(check int) "both were misses" 2
+          (swarm_count tel "cache_misses");
         Aggregator.flush a;
         Alcotest.(check bool) "forged device never answers healthy" false
           (Aggregator.query a ~serial:"s1" ~epoch:0);
@@ -363,7 +371,7 @@ let aggregator_tests =
         Alcotest.(check bool) "the genuine report still verifies" true
           (Aggregator.check_report a ~serial:"s1" ~expected:fw_id ~nonce genuine));
     Alcotest.test_case "sealed batch membership proofs verify" `Quick (fun () ->
-        let a = make_aggregator () in
+        let a, _ = make_aggregator () in
         Aggregator.begin_epoch a ~epoch:0;
         let nonce = Bytes.of_string "batch-nonce" in
         for i = 0 to 12 do
@@ -392,10 +400,7 @@ let aggregator_tests =
               leaves);
     Alcotest.test_case "retained tree: carry, tombstone, membership, deltas"
       `Quick (fun () ->
-        let a =
-          Aggregator.create ~ka_of:test_ka ~clock:(Cycles.create ())
-            ~kind:Aggregator.Retain ()
-        in
+        let a, _ = make_aggregator ~kind:Aggregator.Retain () in
         let attest ~serial ~nonce =
           Alcotest.(check bool) (serial ^ " admitted") true
             (Aggregator.check_report a ~serial ~expected:fw_id ~nonce

@@ -386,6 +386,55 @@ let cosim_tests =
         Cosim.attach_verifier cosim v;
         ignore (Cosim.run_until_settled cosim ~max_slices:100);
         check_bool "refused" true (Verifier.outcome v = Verifier.Refused));
+    Alcotest.test_case "device replies match the light prover byte for byte"
+      `Quick (fun () ->
+        (* The fleet, serve and OTA engines stand a light prover
+           ([Campaign.answer]) in for each device; a simulated TyTAN
+           device must put the very same frames on the wire. *)
+        let p, _, id, ka = device_with_task () in
+        let link = Link.create () in
+        let cosim = Cosim.create p ~link () in
+        let nonce = Bytes.of_string "fidelity-nonce" in
+        let foreign = Task_id.of_image (Bytes.of_string "not-loaded") in
+        let light msg =
+          Option.map
+            (fun reply -> Bytes.to_string (Protocol.encode reply))
+            (Campaign.answer ~clock:(Cycles.create ()) ~ka ~loaded:id msg)
+        in
+        (* Send [msgs] now; after two slices the device's replies are
+           due at the verifier. *)
+        let exchange msgs =
+          let at = Cosim.slice cosim in
+          List.iter
+            (fun m -> Link.send link ~from:Link.Remote ~at (Protocol.encode m))
+            msgs;
+          Cosim.run cosim ~slices:2;
+          List.map Bytes.to_string
+            (Link.deliver link ~to_:Link.Remote ~at:(Cosim.slice cosim))
+        in
+        let loaded = Protocol.Challenge { seq = 1; id; nonce } in
+        let other = Protocol.Challenge { seq = 2; id = foreign; nonce } in
+        (match exchange [ loaded; other ] with
+        | [ response; refusal ] ->
+            Alcotest.(check (option string))
+              "loaded id: same Response and MAC" (light loaded) (Some response);
+            Alcotest.(check (option string))
+              "foreign id: same Refusal" (light other) (Some refusal);
+            check_bool "it is a Response" true
+              (match Protocol.decode (Bytes.of_string response) with
+              | Ok (Protocol.Response _) -> true
+              | _ -> false)
+        | replies ->
+            Alcotest.failf "expected 2 replies, got %d" (List.length replies));
+        (* The one known divergence: with no CFA responder the device
+           refuses a CfaChallenge, while a light prover without a
+           genesis drops it. *)
+        let cfa = Protocol.CfaChallenge { seq = 3; id; nonce } in
+        Alcotest.(check (list string))
+          "device refuses"
+          [ Bytes.to_string (Protocol.encode (Protocol.Refusal { seq = 3 })) ]
+          (exchange [ cfa ]);
+        check_bool "light prover drops" true (light cfa = None));
     Alcotest.test_case "total loss gives up after max attempts" `Quick
       (fun () ->
         let p, _, id, ka = device_with_task () in
