@@ -122,7 +122,9 @@ let run baseline ticks task_count =
           Platform.load_blocking p ~name:(Printf.sprintf "task-%d" i) ~secure telf
         with
         | Ok tcb -> (tcb, telf)
-        | Error e -> failwith e)
+        | Error e ->
+            Printf.eprintf "tytan: loading task-%d failed: %s\n" i e;
+            exit 2)
   in
   Printf.printf "Loaded %d %s task(s); running %d ticks...\n" task_count
     (if secure then "secure" else "normal")
@@ -159,10 +161,10 @@ let run baseline ticks task_count =
 
 let run_cmd =
   let ticks =
-    Arg.(value & opt int 100 & info [ "ticks" ] ~doc:"Ticks to simulate.")
+    Arg.(value & opt (int_in 0) 100 & info [ "ticks" ] ~doc:"Ticks to simulate.")
   in
   let tasks =
-    Arg.(value & opt int 3 & info [ "tasks" ] ~doc:"Periodic tasks to load.")
+    Arg.(value & opt (int_in 0) 3 & info [ "tasks" ] ~doc:"Periodic tasks to load.")
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Boot, load periodic tasks and run the scheduler")
@@ -307,7 +309,7 @@ let stats_cmd =
     Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable output.")
   in
   let ticks =
-    Arg.(value & opt int 10 & info [ "ticks" ] ~doc:"Ticks to simulate.")
+    Arg.(value & opt (int_in 0) 10 & info [ "ticks" ] ~doc:"Ticks to simulate.")
   in
   Cmd.v
     (Cmd.info "stats"
@@ -345,7 +347,7 @@ let trace_run ticks out =
 
 let trace_cmd =
   let ticks =
-    Arg.(value & opt int 5 & info [ "ticks" ] ~doc:"Ticks to trace.")
+    Arg.(value & opt (int_in 0) 5 & info [ "ticks" ] ~doc:"Ticks to trace.")
   in
   let out =
     Arg.(
@@ -1258,11 +1260,13 @@ let cfa honest_ticks attack_ticks loss local capacity =
 
 let cfa_cmd =
   let honest_ticks =
-    Arg.(value & opt int 8 & info [ "honest-ticks" ] ~doc:"Honest warm-up ticks.")
+    Arg.(
+      value & opt (int_in 0) 8
+      & info [ "honest-ticks" ] ~doc:"Honest warm-up ticks.")
   in
   let attack_ticks =
     Arg.(
-      value & opt int 8
+      value & opt (int_in 0) 8
       & info [ "attack-ticks" ] ~doc:"Ticks to run after the exploit.")
   in
   let loss =

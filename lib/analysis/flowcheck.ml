@@ -222,39 +222,3 @@ let run ~config ~stack_region (telf : Telf.t) (df : Dataflow.t) =
   manifest_findings config telf.manifest
   @ taint_findings sources df tr
   @ topology_findings telf df
-
-(* Standalone entry point for fuzzing and ad-hoc use: mirrors Tycheck's
-   dataflow setup (secure-task conventions, default inbox) and, like
-   Tycheck.check, never raises — hostile input lands in findings. *)
-let check ?(config = default_config) (telf : Telf.t) =
-  try
-    match Cfg.of_telf telf with
-    | Error msg -> [ Finding.v Finding.Format Finding.Violation msg ]
-    | Ok cfg when cfg.Cfg.entry >= Cfg.instr_count cfg ->
-        [
-          Finding.v Finding.Format Finding.Violation
-            "entry point lies beyond the decoded text";
-        ]
-    | Ok cfg ->
-        let image_size = Bytes.length telf.image in
-        let inbox_bytes = 64 in
-        let footprint =
-          image_size + telf.bss_size + inbox_bytes + telf.stack_size
-        in
-        let reloc_imms = Hashtbl.create 16 in
-        Array.iter (fun off -> Hashtbl.replace reloc_imms off ()) telf.relocations;
-        let relocated i =
-          Hashtbl.mem reloc_imms (Cfg.offset i + Isa.imm_field_offset)
-        in
-        let init = Array.make Dataflow.reg_count Absval.top in
-        init.(12) <- Absval.rel_const (image_size + telf.bss_size);
-        init.(15) <- Absval.rel_const footprint;
-        let fallback = Cfg.indirect_code_targets telf in
-        let stack_region = (footprint - telf.stack_size, footprint) in
-        let df = Dataflow.run ~init ~relocated ~fallback ~stack_region cfg in
-        List.stable_sort Finding.compare (run ~config ~stack_region telf df)
-  with exn ->
-    [
-      Finding.v Finding.Flow Finding.Violation
-        ("flow analysis failed: " ^ Printexc.to_string exn);
-    ]

@@ -55,10 +55,3 @@ val run :
 (** Apply both checks to a finished dataflow run — how {!Tycheck}
     embeds them without re-running the abstract interpretation.  The
     findings come back unsorted; the caller merges and sorts. *)
-
-val check : ?config:config -> Telf.t -> Finding.t list
-(** Standalone entry point: recovers the CFG, runs the abstract
-    interpretation with the secure-task defaults and applies both
-    checks.  Never raises — malformed or hostile input (truncated
-    binaries, garbage manifests) produces [Violation]/[Unknown]
-    findings, mirroring {!Tycheck.check}. *)

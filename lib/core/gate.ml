@@ -1,4 +1,3 @@
-open Tytan_core
 module Telf = Tytan_telf.Telf
 module Tycheck = Tytan_analysis.Tycheck
 module Finding = Tytan_analysis.Finding

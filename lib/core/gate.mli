@@ -1,8 +1,9 @@
 (** The admission gates every firmware image must clear — one code path
-    shared by the OTA installer (device-side, at staging), the rollout
-    engine (canary promotion) and the swarm campaign's pre-campaign
-    rollout, so a leaky image and a stale version are refused by the
-    same logic wherever they are presented. *)
+    shared by {!Update.apply} (measured activation on a device), the OTA
+    installer (device-side, at staging), the rollout engine (canary
+    promotion) and the swarm campaign's pre-campaign rollout, so a leaky
+    image and a stale version are refused by the same logic wherever
+    they are presented. *)
 
 open Tytan_telf
 

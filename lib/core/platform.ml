@@ -248,7 +248,20 @@ let create ?(config = default_config) () =
       rtm = region map "rtm";
     }
   in
-  let platform =
+  let vet =
+    if config.vet_tasks then
+      Some
+        (if config.vet_flow then Tytan_analysis.Tycheck.flow_config
+         else Tytan_analysis.Tycheck.default_config)
+    else None
+  in
+  let create_loader ~rtm ~mpu =
+    Loader.create ?vet ~kernel ~rtm ~mpu ~heap
+      ~code_eip:(Region.base elf_loader) ~regions:trusted_regions ()
+  in
+  let ( loader,
+        ( eampu, mpu_driver, int_mux, rtm, ipc, attestation, storage,
+          storage_service_id, attest_service_id ) ) =
     if config.secure then begin
       verify_components clock mem map ~references;
       let eampu = Eampu.create ~slots:config.eampu_slots () in
@@ -313,17 +326,7 @@ let create ?(config = default_config) () =
                   (if loaded then 0 else 1); message.(0); message.(1); 0; 0; 0;
                   0; 0;
                 |]));
-      let loader =
-        Loader.create
-          ?vet:
-            (if config.vet_tasks then
-               Some
-                 (if config.vet_flow then Tytan_analysis.Tycheck.flow_config
-                  else Tytan_analysis.Tycheck.default_config)
-             else None)
-          ~kernel ~rtm ~mpu:(Some mpu) ~heap
-          ~code_eip:(Region.base elf_loader) ~regions:trusted_regions ()
-      in
+      let loader = create_loader ~rtm ~mpu:(Some mpu) in
       (* Static protection rules. *)
       let static_rules =
         [
@@ -377,31 +380,9 @@ let create ?(config = default_config) () =
       Eampu.enable eampu;
       Cpu.set_check cpu (fun ~eip ~addr ~size ~kind ->
           Eampu.check eampu ~eip ~addr ~size ~kind);
-      {
-        cpu;
-        mem;
-        clock;
-        engine;
-        trace;
-        telemetry;
-        kernel;
-        heap;
-        loader;
-        timer = Devices.Timer.create engine clock ~irq:0 ~period:config.tick_period;
-        pre_exit;
-        pollables = [];
-        config;
-        map;
-        eampu = Some eampu;
-        mpu_driver = Some mpu;
-        int_mux = Some int_mux;
-        rtm = Some rtm;
-        ipc = Some ipc;
-        attestation = Some attestation;
-        storage = Some storage;
-        storage_service_id = Some storage_id;
-        attest_service_id = Some attest_id;
-      }
+      ( loader,
+        ( Some eampu, Some mpu, Some int_mux, Some rtm, Some ipc,
+          Some attestation, Some storage, Some storage_id, Some attest_id ) )
     end
     else begin
       (* Unmodified-FreeRTOS baseline: an RTM instance exists only as the
@@ -409,49 +390,42 @@ let create ?(config = default_config) () =
       let rtm =
         Rtm.create ~telemetry cpu ~code_eip:(Region.base (region map "rtm"))
       in
-      let loader =
-        Loader.create
-          ?vet:
-            (if config.vet_tasks then
-               Some
-                 (if config.vet_flow then Tytan_analysis.Tycheck.flow_config
-                  else Tytan_analysis.Tycheck.default_config)
-             else None)
-          ~kernel ~rtm ~mpu:None ~heap
-          ~code_eip:(Region.base elf_loader) ~regions:trusted_regions ()
-      in
+      let loader = create_loader ~rtm ~mpu:None in
       Kernel.install_vectors kernel;
       Kernel.set_swi_hook kernel (fun ~swi ~gprs ->
           Loader.handle_swi loader ~swi ~gprs);
       Kernel.set_on_exit kernel (fun tcb ->
           !pre_exit tcb;
           Loader.reclaim loader tcb);
-      {
-        cpu;
-        mem;
-        clock;
-        engine;
-        trace;
-        telemetry;
-        kernel;
-        heap;
-        loader;
-        timer = Devices.Timer.create engine clock ~irq:0 ~period:config.tick_period;
-        pre_exit;
-        pollables = [];
-        config;
-        map;
-        eampu = None;
-        mpu_driver = None;
-        int_mux = None;
-        rtm = None;
-        ipc = None;
-        attestation = None;
-        storage = None;
-        storage_service_id = None;
-        attest_service_id = None;
-      }
+      (loader, (None, None, None, None, None, None, None, None, None))
     end
+  in
+  let platform =
+    {
+      cpu;
+      mem;
+      clock;
+      engine;
+      trace;
+      telemetry;
+      kernel;
+      heap;
+      loader;
+      timer = Devices.Timer.create engine clock ~irq:0 ~period:config.tick_period;
+      pre_exit;
+      pollables = [];
+      config;
+      map;
+      eampu;
+      mpu_driver;
+      int_mux;
+      rtm;
+      ipc;
+      attestation;
+      storage;
+      storage_service_id;
+      attest_service_id;
+    }
   in
   (* Idle task and loader service task, then start scheduling. *)
   Kernel.init_idle kernel ~code_base:idle_stub

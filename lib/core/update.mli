@@ -55,9 +55,10 @@ val apply :
 (** The OTA installer's gated variant of {!update_task} — measured
     activation end to end:
 
-    + {e vet}: the six-check [Tycheck.flow_config] analysis must prove
-      the image clean ({!Tytan_analysis.Tycheck.strict_ok}); the vet is
-      charged to the platform clock at the loader's published rates;
+    + {e vet}: {!Gate.vet} must accept the image (the six-check
+      [Tycheck.flow_config] analysis proves it clean); its [vet_cycles]
+      are charged to the platform clock.  A refusal is
+      ["vet refused: <first violation, else first unknown>"];
     + {e stage}: the new version loads suspended while the old one keeps
       running, exactly as {!update_task};
     + {e measure}: before the swap, the RTM measurement of the staged

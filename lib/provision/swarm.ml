@@ -2,10 +2,7 @@ open Tytan_core
 open Tytan_netsim
 module Crypto = Tytan_crypto
 module Cycles = Tytan_machine.Cycles
-module Isa = Tytan_machine.Isa
 module Telf = Tytan_telf.Telf
-module Tycheck = Tytan_analysis.Tycheck
-module Finding = Tytan_analysis.Finding
 module Fault_plan = Tytan_fault.Fault_plan
 module Telemetry = Tytan_telemetry.Telemetry
 module Obs = Tytan_obs.Obs
@@ -54,18 +51,6 @@ type epoch_stats = {
   verify_cycles : int;  (* verifier clock delta over this epoch *)
 }
 
-(* A firmware rollout pushed ahead of the campaign.  Every device vets
-   the image with the six-check flow configuration before measurement
-   and adoption requires the strict verdict (no violations and no
-   unknowns); the verdict is a pure function of the binary, so a leaky
-   image is refused platform-wide — the whole fleet stays on the
-   incumbent firmware and attests it as before. *)
-type rollout = {
-  accepted : bool;
-  refusal : string option;  (* first non-clean finding, when refused *)
-  vet_cycles_per_device : int;
-}
-
 type report = {
   mode : mode;
   devices : int;
@@ -76,7 +61,7 @@ type report = {
   queries_per_epoch : int;
   steady : bool;
   churn_permille : int;
-  rollout : rollout option;
+  rollout : Gate.verdict option;
   per_epoch : epoch_stats list;
   verifier_cycles : int;
   device_cycles : int;
@@ -145,26 +130,16 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
     Bytes.of_string (Printf.sprintf "fleet-master-%08x" (seed land 0xFFFF_FFFF))
   in
   let registry = Registry.create ~master in
-  let rollout =
-    Option.map
-      (fun (telf : Telf.t) ->
-        (* One admission gate for the whole platform: the swarm's
-           pre-campaign rollout vets through the same [Tytan_ota.Gate]
-           the OTA installer runs device-side, so fleet-wide adoption
-           and per-device staging can never disagree on an image. *)
-        let v = Tytan_ota.Gate.vet telf in
-        {
-          accepted = v.Tytan_ota.Gate.accepted;
-          refusal = v.Tytan_ota.Gate.refusal;
-          vet_cycles_per_device = v.Tytan_ota.Gate.vet_cycles;
-        })
-      rollout_image
-  in
+  (* One admission gate for the whole platform: the swarm's pre-campaign
+     rollout vets through the same [Gate] the OTA installer runs
+     device-side, so fleet-wide adoption and per-device staging can
+     never disagree on an image. *)
+  let rollout = Option.map Gate.vet rollout_image in
   let image =
     (* An accepted rollout replaces the incumbent firmware fleet-wide;
        a refused one leaves every device attesting the old image. *)
     match (rollout, rollout_image) with
-    | Some { accepted = true; _ }, Some telf -> Bytes.copy telf.Telf.image
+    | Some { Gate.accepted = true; _ }, Some telf -> Bytes.copy telf.Telf.image
     | _ -> Fleet.reference_image ~seed ~size:512
   in
   let fw_id = Task_id.of_image image in
@@ -174,7 +149,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
   | Some r ->
       (* Each device's loader vets the pushed binary before measuring
          it, whatever the verdict turns out to be. *)
-      Cycles.charge device_clock (r.vet_cycles_per_device * devices)
+      Cycles.charge device_clock (r.Gate.vet_cycles * devices)
   | None -> ());
   let telemetry = Campaign.telemetry verifier_clock in
   let cache_count name = Telemetry.counter telemetry ~component:"swarm" name in
@@ -655,12 +630,11 @@ let body r =
     r.churn_permille;
   (match r.rollout with
   | None -> ()
-  | Some { accepted = true; vet_cycles_per_device; _ } ->
-      add "rollout: adopted fleet-wide (vet %d cycles/device)\n"
-        vet_cycles_per_device
-  | Some { accepted = false; refusal; vet_cycles_per_device } ->
+  | Some { Gate.accepted = true; vet_cycles; _ } ->
+      add "rollout: adopted fleet-wide (vet %d cycles/device)\n" vet_cycles
+  | Some { Gate.accepted = false; refusal; vet_cycles } ->
       add "rollout: refused fleet-wide (vet %d cycles/device): %s\n"
-        vet_cycles_per_device
+        vet_cycles
         (Option.value refusal ~default:"unspecified violation"));
   List.iter
     (fun s ->

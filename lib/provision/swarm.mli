@@ -93,22 +93,6 @@ type epoch_stats = {
   verify_cycles : int;  (** verifier clock advance over this epoch *)
 }
 
-type rollout = {
-  accepted : bool;
-  refusal : string option;
-      (** the first non-clean finding (a proven violation when there is
-          one, else the first unknown) when the image was refused *)
-  vet_cycles_per_device : int;
-      (** what each device's loader charged for the six-check vet *)
-}
-(** Outcome of a firmware rollout pushed ahead of the campaign: every
-    device vets the image under [Tycheck.flow_config] before measuring
-    it, and adoption requires {!Tycheck.strict_ok} — an image the
-    analysis cannot prove clean (a Maybe-level flow, an unbounded WCET)
-    is refused alongside proven leaks.  The verdict is a pure function
-    of the binary, so a refusal is platform-wide — the fleet stays on
-    the incumbent firmware. *)
-
 type report = {
   mode : mode;
   devices : int;
@@ -119,7 +103,9 @@ type report = {
   queries_per_epoch : int;
   steady : bool;
   churn_permille : int;
-  rollout : rollout option;
+  rollout : Tytan_core.Gate.verdict option;
+      (** the {!Tytan_core.Gate.vet} verdict on a firmware image pushed
+          ahead of the campaign; [vet_cycles] is charged once per device *)
   per_epoch : epoch_stats list;
   verifier_cycles : int;
   device_cycles : int;

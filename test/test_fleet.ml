@@ -491,9 +491,9 @@ let rollout_tests =
         in
         let r = rollout_run leaky in
         match r.Swarm.rollout with
-        | Some { Swarm.accepted; refusal; vet_cycles_per_device } ->
+        | Some { Gate.accepted; refusal; vet_cycles } ->
             Alcotest.(check bool) "refused" false accepted;
-            Alcotest.(check bool) "vet charged" true (vet_cycles_per_device > 0);
+            Alcotest.(check bool) "vet charged" true (vet_cycles > 0);
             let msg = Option.value refusal ~default:"" in
             Alcotest.(check bool)
               "refusal names the secret flow" true
@@ -518,7 +518,7 @@ let rollout_tests =
         let clean = Tasks.counter () in
         let r = rollout_run clean in
         match r.Swarm.rollout with
-        | Some { Swarm.accepted; refusal; _ } ->
+        | Some { Gate.accepted; refusal; _ } ->
             Alcotest.(check bool) "adopted" true accepted;
             Alcotest.(check bool) "no refusal" true (refusal = None);
             Alcotest.(check bool) "fleet survived on new firmware" true
@@ -548,9 +548,9 @@ let rollout_tests =
         Alcotest.(check bool) "same acceptance" true
           (match (s.Swarm.rollout, b.Swarm.rollout) with
           | Some a, Some b ->
-              a.Swarm.accepted = b.Swarm.accepted
-              && a.Swarm.refusal = b.Swarm.refusal
-              && a.Swarm.vet_cycles_per_device = b.Swarm.vet_cycles_per_device
+              a.Gate.accepted = b.Gate.accepted
+              && a.Gate.refusal = b.Gate.refusal
+              && a.Gate.vet_cycles = b.Gate.vet_cycles
           | _ -> false);
         Alcotest.(check (list string))
           "verdicts still byte-identical" (Swarm.verdicts s)

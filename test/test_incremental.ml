@@ -350,16 +350,19 @@ let sha_differential_tests =
          (fun (s, _) ->
            (* Hmac.prepare/mac_with clone a fed context; finalizing the
               clone must not disturb the original, and both must agree
-              with the oracle. *)
+              with the oracle — for each algorithm on the shared core. *)
            let data = Bytes.of_string s in
-           let ctx = Sha1.init () in
-           Sha1.feed ctx data;
-           let clone = Sha1.copy ctx in
-           Sha1.feed clone data;
-           let d2 = Sha1.finalize clone in
-           let d1 = Sha1.finalize ctx in
-           d1 = Ref_sha1.digest data
-           && d2 = Ref_sha1.digest (Bytes.cat data data)));
+           let independent (module H : Crypto.Md.S) oracle =
+             let ctx = H.init () in
+             H.feed ctx data;
+             let clone = H.copy ctx in
+             H.feed clone data;
+             let d2 = H.finalize clone in
+             let d1 = H.finalize ctx in
+             d1 = oracle data && d2 = oracle (Bytes.cat data data)
+           in
+           independent (module Sha1) Ref_sha1.digest
+           && independent (module Sha256) Ref_sha256.digest));
     Alcotest.test_case "sha256 NIST million-a vector" `Slow (fun () ->
         Alcotest.(check string) "vector"
           "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
@@ -438,6 +441,30 @@ let counter_tests =
         check_int "my domain saw only my 2" 2 mine;
         check_bool "other domain saw at least its 100" true (theirs >= 100);
         check_int "global saw everything" 102 (Sha256.total_compressions () - g0));
+    Alcotest.test_case "sha1 and sha256 counters are separate" `Quick
+      (fun () ->
+        (* Cost_model.charged bills the two algorithms at different
+           per-compression rates, so work in one must never show up in
+           the other's counters. *)
+        let counts () =
+          ( Sha1.total_compressions (),
+            Sha1.domain_compressions (),
+            Sha256.total_compressions (),
+            Sha256.domain_compressions () )
+        in
+        let g1, d1, g2, d2 = counts () in
+        ignore (Sha1.digest (Bytes.make 64 'a'));
+        let g1', d1', g2', d2' = counts () in
+        check_int "sha1 global +2" 2 (g1' - g1);
+        check_int "sha1 domain +2" 2 (d1' - d1);
+        check_int "sha256 global untouched" g2 g2';
+        check_int "sha256 domain untouched" d2 d2';
+        ignore (Sha256.digest (Bytes.make 64 'b'));
+        let g1'', d1'', g2'', d2'' = counts () in
+        check_int "sha256 global +2" 2 (g2'' - g2');
+        check_int "sha256 domain +2" 2 (d2'' - d2');
+        check_int "sha1 global untouched" g1' g1'';
+        check_int "sha1 domain untouched" d1' d1'');
   ]
 
 (* --- Merkle.Inc: dirty-path commit == full rebuild ------------------------- *)

@@ -691,11 +691,11 @@ let gate_tests =
             ~rollout:leaky ()
         in
         let sr = Option.get r.Swarm.rollout in
-        check_bool "same verdict" false sr.Swarm.accepted;
+        check_bool "same verdict" false sr.Gate.accepted;
         check_bool "same refusal text" true
-          (sr.Swarm.refusal = v.Gate.refusal);
+          (sr.Gate.refusal = v.Gate.refusal);
         check_int "same per-device vet bill" v.Gate.vet_cycles
-          sr.Swarm.vet_cycles_per_device;
+          sr.Gate.vet_cycles;
         let clean = Gate.vet (Tasks.counter ()) in
         check_bool "clean accepted with no refusal" true
           (clean.Gate.accepted && clean.Gate.refusal = None));
