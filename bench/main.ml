@@ -1018,15 +1018,15 @@ let run_swarm_bench () =
       let incremental = campaign Swarm.Incremental in
       if Swarm.verdicts scalar <> Swarm.verdicts batched then
         failwith "swarm bench: scalar/batched verdicts diverged";
-      if Swarm.verdicts batched <> Swarm.verdicts incremental then
-        failwith "swarm bench: batched/incremental verdicts diverged";
+      if Swarm.semantic_digest batched <> Swarm.semantic_digest incremental
+      then failwith "swarm bench: batched/incremental semantics diverged";
       let ratio =
         float_of_int scalar.Swarm.verifier_cycles
         /. float_of_int (max 1 batched.Swarm.verifier_cycles)
       in
       row
         "  N=%4d: scalar %10d   batched %10d   incremental %10d   (%.1fx, \
-         verdicts identical)\n"
+         verdicts agree)\n"
         n scalar.Swarm.verifier_cycles batched.Swarm.verifier_cycles
         incremental.Swarm.verifier_cycles ratio;
       record ~table:"fleet" ~label:(Printf.sprintf "scalar-verify-%d" n)
@@ -1039,11 +1039,10 @@ let run_swarm_bench () =
   (* Steady state: epoch 0 sweeps the whole fleet, afterwards only the
      ~1% that rebooted (plus anything whose continuity broke) is
      re-challenged — the O(changed) epoch.  The row records the mean
-     post-sweep epoch cost; the regression gate holds it an order of
-     magnitude under the rebuild-everything batched campaign. *)
+     post-sweep epoch cost. *)
   let n = if !smoke then 64 else 2048 in
   let steady =
-    Swarm.run ~mode:Swarm.Incremental ~devices:n ~epochs ~seed:1 ~steady:true
+    Swarm.run ~mode:Swarm.Incremental ~devices:n ~epochs ~seed:1
       ~churn_permille:10 ()
   in
   let post_sweep =
@@ -1071,17 +1070,14 @@ let run_swarm_bench () =
      rows (1 = identical) so the regression gate fails on any drift,
      with no tolerance band. *)
   let pn = if !smoke then 32 else 256 in
-  let identical mode ~steady ~churn_permille =
+  let identical mode ~churn_permille =
     let go domains =
-      Swarm.run ~mode ~devices:pn ~epochs ~seed:1 ~domains ~steady
-        ~churn_permille ()
+      Swarm.run ~mode ~devices:pn ~epochs ~seed:1 ~domains ~churn_permille ()
     in
     if Swarm.to_string (go 1) = Swarm.to_string (go 4) then 1 else 0
   in
-  let batched_id = identical Swarm.Batched ~steady:false ~churn_permille:0 in
-  let steady_id =
-    identical Swarm.Incremental ~steady:true ~churn_permille:10
-  in
+  let batched_id = identical Swarm.Batched ~churn_permille:0 in
+  let steady_id = identical Swarm.Incremental ~churn_permille:10 in
   row
     "  domains=4 vs 1 at N=%d: batched %s, incremental-steady %s\n" pn
     (if batched_id = 1 then "bit-identical" else "DIVERGED")
@@ -1118,15 +1114,15 @@ let run_serve_bench () =
         failwith "serve bench: admitted sessions left unsettled";
       let shed_permille = Gateway.shed r * 1000 / max 1 r.Gateway.arrivals in
       row
-        "  rate=%5d/k: throughput %5d/k   p50 %7d   p99 %8d cycles   shed %3d/1000\n"
-        rate r.Gateway.throughput_per_kslice r.Gateway.p50_cycles
-        r.Gateway.p99_cycles shed_permille;
+        "  rate=%5d/k: throughput %5d/k   p50 %3d   p99 %4d slices   shed %3d/1000\n"
+        rate r.Gateway.throughput_per_kslice r.Gateway.p50_slices
+        r.Gateway.p99_slices shed_permille;
       record ~table:"serve" ~label:(Printf.sprintf "throughput-%d" rate)
         r.Gateway.throughput_per_kslice;
-      record ~table:"serve" ~label:(Printf.sprintf "p50-cycles-%d" rate)
-        r.Gateway.p50_cycles;
-      record ~table:"serve" ~label:(Printf.sprintf "p99-cycles-%d" rate)
-        r.Gateway.p99_cycles;
+      record ~table:"serve" ~label:(Printf.sprintf "p50-slices-%d" rate)
+        r.Gateway.p50_slices;
+      record ~table:"serve" ~label:(Printf.sprintf "p99-slices-%d" rate)
+        r.Gateway.p99_slices;
       record ~table:"serve" ~label:(Printf.sprintf "shed-permille-%d" rate)
         shed_permille;
       (* Closed-loop comparison at the same nominal rate: each device
@@ -1142,8 +1138,8 @@ let run_serve_bench () =
       let c_shed = Gateway.shed c * 1000 / max 1 c.Gateway.arrivals in
       closed_shed := c_shed;
       row
-        "       closed:  throughput %5d/k   p50 %7d   p99 %8d cycles   shed %3d/1000\n"
-        c.Gateway.throughput_per_kslice c.Gateway.p50_cycles c.Gateway.p99_cycles
+        "       closed:  throughput %5d/k   p50 %3d   p99 %4d slices   shed %3d/1000\n"
+        c.Gateway.throughput_per_kslice c.Gateway.p50_slices c.Gateway.p99_slices
         c_shed;
       record ~table:"serve" ~label:(Printf.sprintf "closed-shed-permille-%d" rate)
         !closed_shed;

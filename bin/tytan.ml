@@ -367,8 +367,7 @@ let trace_cmd =
 
 (* --- fleet ---------------------------------------------------------------- *)
 
-let fleet devices epochs seed faults mode loss rollout domains steady churn
-    verify =
+let fleet devices epochs seed faults mode loss rollout domains churn verify =
   let open Tytan_provision in
   let mode =
     match mode with
@@ -377,8 +376,6 @@ let fleet devices epochs seed faults mode loss rollout domains steady churn
     | "incremental" -> Swarm.Incremental
     | other -> usage "unknown fleet mode %S (scalar|batched|incremental)" other
   in
-  if steady && mode <> Swarm.Incremental then
-    usage "--steady requires --mode incremental";
   let rollout =
     match rollout with
     | "none" -> None
@@ -394,7 +391,7 @@ let fleet devices epochs seed faults mode loss rollout domains steady churn
     reproduce ~to_string:Swarm.to_string ~equal:Swarm.equal verify
       ~run:(fun () ->
         Swarm.run ~mode ~devices ~epochs ~seed ~faults ~loss_percent:loss
-          ?rollout ~domains ~steady ~churn_permille:churn ())
+          ?rollout ~domains ~churn_permille:churn ())
   in
   (* A session that never settled is the campaign engine's own failure,
      faults or no faults — CI gates on it. *)
@@ -424,9 +421,12 @@ let fleet_cmd =
       value & opt string "batched"
       & info [ "mode" ]
           ~doc:
-            "Verifier engine: batched (aggregator, tree rebuilt per epoch), \
-             incremental (persistent Merkle leaves, dirty-path recompute, \
-             sparse epoch deltas) or scalar (stateless baseline).")
+            "Verifier engine and challenge policy: batched (aggregator, \
+             every device challenged every epoch), incremental (the same \
+             aggregator; after an epoch-0 sweep only devices whose \
+             continuity broke are re-challenged, the rest are carried on \
+             liveness as verdict 'a') or scalar (stateless baseline, full \
+             sweep).")
   in
   let rollout =
     Arg.(
@@ -446,34 +446,26 @@ let fleet_cmd =
              Devices are pinned to shards by contiguous index ranges, so the \
              report is bit-identical to --domains 1.")
   in
-  let steady =
-    Arg.(
-      value & flag
-      & info [ "steady" ]
-          ~doc:
-            "Steady-state verification (incremental mode only): after a full \
-             epoch-0 sweep, only devices whose continuity broke are \
-             re-challenged; the rest are carried on liveness (verdict 'a').")
-  in
   let churn =
     Arg.(
       value & opt (int_in ~hi:1000 0) 0
       & info [ "churn" ]
           ~doc:
             "Reboot this permille of the fleet per epoch on a seeded \
-             schedule (forces re-challenge in steady state).")
+             schedule (forces a re-challenge in incremental mode).")
   in
   Cmd.v
     (Cmd.info "fleet"
        ~doc:
          "Run a fleet-scale swarm-attestation campaign: N provers over lossy \
-          links, K fresh-nonce epochs, batched Merkle aggregation with a \
-          measurement cache, incremental epoch-persistent aggregation \
-          (--mode incremental, optionally --steady), or the scalar baseline \
-          (--mode scalar); --domains D shards verification bit-identically")
+          links, K fresh-nonce epochs, Merkle aggregation with a \
+          measurement cache over full sweeps (--mode batched) or \
+          liveness-carried incremental epochs (--mode incremental), or the \
+          scalar baseline (--mode scalar); --domains D shards verification \
+          bit-identically")
     Term.(
       const fleet $ devices_arg ~default:64 () $ epochs $ seed_arg () $ faults
-      $ mode $ loss_arg () $ rollout $ domains $ steady $ churn $ verify_arg)
+      $ mode $ loss_arg () $ rollout $ domains $ churn $ verify_arg)
 
 (* --- serve ----------------------------------------------------------------- *)
 

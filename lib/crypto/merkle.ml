@@ -1,9 +1,8 @@
-(* Binary Merkle tree over SHA-256.  Leaves hash as 0x00 || payload and
-   interior nodes as left || 0x01 || right.  This is weaker than RFC
-   6962, which prefixes nodes with 0x01: an interior node whose left
-   child's hash starts with 0x00 can be presented as a leaf.  An odd
-   node at any level is promoted unchanged — no duplication — so a
-   singleton tree's root is exactly the leaf hash. *)
+(* Binary Merkle tree over SHA-256 with the RFC 6962 domain separation:
+   leaves hash as 0x00 || payload and interior nodes as
+   0x01 || left || right, so no interior node can be re-presented as a
+   leaf.  An odd node at any level is promoted unchanged — no
+   duplication — so a singleton tree's root is exactly the leaf hash. *)
 
 let leaf_prefix = Bytes.make 1 '\x00'
 let node_prefix = Bytes.make 1 '\x01'
@@ -15,12 +14,10 @@ let leaf_hash payload =
   Sha256.feed ctx payload;
   Sha256.finalize ctx
 
-(* The 0x01 byte sits between the two children, not in front of them:
-   every committed root and golden file depends on this layout. *)
 let node_hash left right =
   let ctx = Sha256.init () in
-  Sha256.feed ctx left;
   Sha256.feed ctx node_prefix;
+  Sha256.feed ctx left;
   Sha256.feed ctx right;
   Sha256.finalize ctx
 

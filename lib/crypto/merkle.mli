@@ -6,10 +6,8 @@
     membership is provable with an O(log N) path.
 
     Leaves are hashed as [SHA-256(0x00 | payload)] and interior nodes
-    as [SHA-256(left | 0x01 | right)].  The 0x01 sits between the
-    children rather than in front of them as in RFC 6962, so the
-    separation is partial: an interior node whose left child's digest
-    begins with 0x00 can be re-presented as a leaf.  An odd node at any
+    as [SHA-256(0x01 | left | right)], the RFC 6962 domain separation:
+    no interior node can be re-presented as a leaf.  An odd node at any
     level is promoted unchanged, so a one-leaf tree degenerates to the
     leaf hash itself. *)
 
@@ -17,7 +15,7 @@ val leaf_hash : bytes -> bytes
 (** [SHA-256(0x00 | payload)]. *)
 
 val node_hash : bytes -> bytes -> bytes
-(** [SHA-256(left | 0x01 | right)]. *)
+(** [SHA-256(0x01 | left | right)]. *)
 
 type step = {
   sibling : bytes;  (** the sibling digest to combine with *)

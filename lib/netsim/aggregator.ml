@@ -3,15 +3,12 @@ module Crypto = Tytan_crypto
 module Cycles = Tytan_machine.Cycles
 module Telemetry = Tytan_telemetry.Telemetry
 
-type kind = Rebuild | Retain
-
 type entry = {
-  expected_mac : bytes;
+  id : Task_id.t;
   nonce : bytes;
-  mutable sealed_root : bytes option;
+  expected_mac : bytes;
+  mutable sealed : bool;  (* a live leaf of a root sealed this epoch *)
 }
-
-type batch = { epoch : int; root : bytes; size : int }
 
 type delta_entry = {
   serial : string;
@@ -36,17 +33,22 @@ type shard = {
   keys : (string, bytes) Hashtbl.t;
   mac_states : (string, Crypto.Hmac.state) Hashtbl.t;
   cache : (string, entry) Hashtbl.t;
-  mutable queue : (string * Attestation.report) list;  (* newest first *)
+  mutable queue : (string * Task_id.t) list;  (* newest first *)
   mutable key_derivations : int;
   mutable tel_hits : int;  (* telemetry deltas not yet flushed *)
   mutable tel_misses : int;
 }
 
-(* Epoch-persistent leaf store for [Retain]: one Merkle.Inc slot per
-   device ever verified, overwritten only when its measurement changes
-   and tombstoned when it goes silent — so a steady-state epoch commits
+(* The epoch-persistent leaf store is one Merkle.Inc slot per device
+   ever verified, overwritten only when its measurement changes and
+   tombstoned when it goes silent — so a steady-state epoch commits
    O(changed · log n) hashes instead of rebuilding O(n). *)
-type retain_state = {
+type t = {
+  ka_of : serial:string -> bytes;
+  clock : Cycles.t;
+  telemetry : Telemetry.t;
+  shards : shard array;
+  sequential : bool;  (* single shard: admit + telemetry inline *)
   slots : (string, int) Hashtbl.t;  (* serial -> leaf index *)
   inc : Crypto.Merkle.Inc.t;
   mutable slot_serials : string array;
@@ -56,22 +58,7 @@ type retain_state = {
   mutable pending_delta : delta_entry list;  (* newest first *)
   mutable deltas : delta list;  (* newest first *)
   mutable last_sealed_epoch : int;
-}
-
-type t = {
-  ka_of : serial:string -> bytes;
-  clock : Cycles.t;
-  telemetry : Telemetry.t;
-  kind : kind;
-  shards : shard array;
-  sequential : bool;  (* single shard: admit + telemetry inline *)
-  retain : retain_state option;
-  current_roots : (string, unit) Hashtbl.t;
   mutable epoch : int;
-  mutable pending : (string * bytes) list;  (* newest first; Rebuild *)
-  mutable pending_count : int;
-  mutable batches : batch list;  (* newest first *)
-  mutable last_tree : (Crypto.Merkle.t * bytes array) option;
   mutable seal_hook : (epoch:int -> root:bytes -> leaves:int -> unit) option;
 }
 
@@ -88,10 +75,7 @@ let make_shard clock =
     tel_misses = 0;
   }
 
-(* A [Rebuild] batch this full seals eagerly. *)
-let batch_limit = 256
-
-let create ~ka_of ~clock ~telemetry ?(kind = Rebuild) ?(shards = 1) () =
+let create ~ka_of ~clock ~telemetry ?(shards = 1) () =
   if shards <= 0 then invalid_arg "Aggregator.create: shards";
   let sequential = shards = 1 in
   let shards =
@@ -105,74 +89,28 @@ let create ~ka_of ~clock ~telemetry ?(kind = Rebuild) ?(shards = 1) () =
     ka_of;
     clock;
     telemetry;
-    kind;
     shards;
     sequential;
-    retain =
-      (match kind with
-      | Rebuild -> None
-      | Retain ->
-          Some
-            {
-              slots = Hashtbl.create 64;
-              inc = Crypto.Merkle.Inc.create ();
-              slot_serials = [||];
-              slot_ids = [||];
-              slot_epochs = [||];
-              slot_count = 0;
-              pending_delta = [];
-              deltas = [];
-              last_sealed_epoch = -1;
-            });
-    current_roots = Hashtbl.create 8;
+    slots = Hashtbl.create 64;
+    inc = Crypto.Merkle.Inc.create ();
+    slot_serials = [||];
+    slot_ids = [||];
+    slot_epochs = [||];
+    slot_count = 0;
+    pending_delta = [];
+    deltas = [];
+    last_sealed_epoch = -1;
     epoch = 0;
-    pending = [];
-    pending_count = 0;
-    batches = [];
-    last_tree = None;
     seal_hook = None;
   }
 
 let on_seal t f = t.seal_hook <- Some f
 let tally t name = Telemetry.incr t.telemetry ~component:"swarm" name
 
-let epoch t = t.epoch
-
-let record_seal t ~root ~size =
-  Hashtbl.replace t.current_roots (Bytes.to_string root) ();
-  t.batches <- { epoch = t.epoch; root; size } :: t.batches;
-  tally t "batches_sealed";
-  match t.seal_hook with
-  | Some f -> f ~epoch:t.epoch ~root ~leaves:size
-  | None -> ()
-
-let mark_sealed t serial root =
-  Array.iter
-    (fun sh ->
-      match Hashtbl.find_opt sh.cache serial with
-      | Some e -> e.sealed_root <- Some root
-      | None -> ())
-    t.shards
-
-let seal_rebuild t =
-  if t.pending_count > 0 then begin
-    let leaves =
-      Array.of_list (List.rev_map (fun (_, leaf) -> leaf) t.pending)
-    in
-    let serials = List.rev_map fst t.pending in
-    let tree = Cost_model.charged t.clock (fun () -> Crypto.Merkle.build leaves) in
-    let root = Crypto.Merkle.root tree in
-    List.iter (fun serial -> mark_sealed t serial root) serials;
-    t.last_tree <- Some (tree, leaves);
-    record_seal t ~root ~size:t.pending_count;
-    t.pending <- [];
-    t.pending_count <- 0
-  end
-
 (* Length-prefixed serial, then a liveness tag and the measured
    identity.  The prefix removes serial/identity framing ambiguity; the
    0x00 tombstone is a distinct, un-forgeable payload shape. *)
-let retain_leaf ~serial id_opt =
+let leaf ~serial id_opt =
   let s = Bytes.of_string serial in
   let hdr = Bytes.create 2 in
   Bytes.set_uint16_be hdr 0 (Bytes.length s);
@@ -188,89 +126,82 @@ let same_id a b =
   | None, None -> true
   | _ -> false
 
-let grow_slots rs n =
-  if n > Array.length rs.slot_serials then begin
-    let cap = max 8 (max n (2 * Array.length rs.slot_serials)) in
+let grow_slots t n =
+  if n > Array.length t.slot_serials then begin
+    let cap = max 8 (max n (2 * Array.length t.slot_serials)) in
     let serials = Array.make cap "" in
     let ids = Array.make cap None in
     let epochs = Array.make cap (-1) in
-    Array.blit rs.slot_serials 0 serials 0 rs.slot_count;
-    Array.blit rs.slot_ids 0 ids 0 rs.slot_count;
-    Array.blit rs.slot_epochs 0 epochs 0 rs.slot_count;
-    rs.slot_serials <- serials;
-    rs.slot_ids <- ids;
-    rs.slot_epochs <- epochs
+    Array.blit t.slot_serials 0 serials 0 t.slot_count;
+    Array.blit t.slot_ids 0 ids 0 t.slot_count;
+    Array.blit t.slot_epochs 0 epochs 0 t.slot_count;
+    t.slot_serials <- serials;
+    t.slot_ids <- ids;
+    t.slot_epochs <- epochs
   end
 
-let admit_retain t rs ~serial ~(id : Task_id.t) =
-  match Hashtbl.find_opt rs.slots serial with
+let admit t ~serial (id : Task_id.t) =
+  match Hashtbl.find_opt t.slots serial with
   | None ->
       Cost_model.charged t.clock (fun () ->
-          let idx =
-            Crypto.Merkle.Inc.append rs.inc (retain_leaf ~serial (Some id))
-          in
-          grow_slots rs (idx + 1);
-          rs.slot_serials.(idx) <- serial;
-          rs.slot_ids.(idx) <- Some id;
-          rs.slot_epochs.(idx) <- t.epoch;
-          rs.slot_count <- idx + 1;
-          Hashtbl.replace rs.slots serial idx);
-      rs.pending_delta <-
-        { serial; before = None; after = Some id } :: rs.pending_delta
+          let idx = Crypto.Merkle.Inc.append t.inc (leaf ~serial (Some id)) in
+          grow_slots t (idx + 1);
+          t.slot_serials.(idx) <- serial;
+          t.slot_ids.(idx) <- Some id;
+          t.slot_epochs.(idx) <- t.epoch;
+          t.slot_count <- idx + 1;
+          Hashtbl.replace t.slots serial idx);
+      t.pending_delta <-
+        { serial; before = None; after = Some id } :: t.pending_delta
   | Some idx ->
-      rs.slot_epochs.(idx) <- t.epoch;
-      let before = rs.slot_ids.(idx) in
+      t.slot_epochs.(idx) <- t.epoch;
+      let before = t.slot_ids.(idx) in
       if not (same_id before (Some id)) then begin
         Cost_model.charged t.clock (fun () ->
-            Crypto.Merkle.Inc.set rs.inc idx (retain_leaf ~serial (Some id)));
-        rs.slot_ids.(idx) <- Some id;
-        rs.pending_delta <-
-          { serial; before; after = Some id } :: rs.pending_delta
+            Crypto.Merkle.Inc.set t.inc idx (leaf ~serial (Some id)));
+        t.slot_ids.(idx) <- Some id;
+        t.pending_delta <-
+          { serial; before; after = Some id } :: t.pending_delta
       end
 
-let seal_retain t rs =
-  if rs.slot_count > 0 then begin
+let flush t =
+  if t.slot_count > 0 then begin
     (* Devices that did not check in (verified or carried) this epoch
        drop out of the sealed set: their slots become tombstones, so a
        stale proof of their membership no longer verifies. *)
-    for idx = 0 to rs.slot_count - 1 do
-      if rs.slot_epochs.(idx) <> t.epoch && rs.slot_ids.(idx) <> None then begin
-        let serial = rs.slot_serials.(idx) in
-        rs.pending_delta <-
-          { serial; before = rs.slot_ids.(idx); after = None }
-          :: rs.pending_delta;
-        rs.slot_ids.(idx) <- None;
+    for idx = 0 to t.slot_count - 1 do
+      if t.slot_epochs.(idx) <> t.epoch && t.slot_ids.(idx) <> None then begin
+        let serial = t.slot_serials.(idx) in
+        t.pending_delta <-
+          { serial; before = t.slot_ids.(idx); after = None }
+          :: t.pending_delta;
+        t.slot_ids.(idx) <- None;
         Cost_model.charged t.clock (fun () ->
-            Crypto.Merkle.Inc.set rs.inc idx (retain_leaf ~serial None))
+            Crypto.Merkle.Inc.set t.inc idx (leaf ~serial None))
       end
     done;
-    if not (rs.pending_delta = [] && rs.last_sealed_epoch = t.epoch) then begin
-      let root = Cost_model.charged t.clock (fun () -> Crypto.Merkle.Inc.commit rs.inc) in
+    if not (t.pending_delta = [] && t.last_sealed_epoch = t.epoch) then begin
+      let root = Cost_model.charged t.clock (fun () -> Crypto.Merkle.Inc.commit t.inc) in
       (* Everything verified this epoch is (still) a live leaf of the
-         committed tree; re-stamp the whole epoch cache with the new
-         root so queries check against it. *)
+         committed tree: mark the whole epoch cache sealed so queries
+         answer from it. *)
       Array.iter
-        (fun sh ->
-          Hashtbl.iter (fun _ e -> e.sealed_root <- Some root) sh.cache)
+        (fun sh -> Hashtbl.iter (fun _ e -> e.sealed <- true) sh.cache)
         t.shards;
-      let changed = List.rev rs.pending_delta in
-      rs.deltas <-
-        { at_epoch = t.epoch; new_root = root; changed } :: rs.deltas;
-      rs.pending_delta <- [];
-      rs.last_sealed_epoch <- t.epoch;
-      record_seal t ~root ~size:(List.length changed)
+      let changed = List.rev t.pending_delta in
+      t.deltas <- { at_epoch = t.epoch; new_root = root; changed } :: t.deltas;
+      t.pending_delta <- [];
+      t.last_sealed_epoch <- t.epoch;
+      tally t "batches_sealed";
+      match t.seal_hook with
+      | Some f -> f ~epoch:t.epoch ~root ~leaves:(List.length changed)
+      | None -> ()
     end
   end
-
-let flush t =
-  match t.retain with
-  | None -> seal_rebuild t
-  | Some rs -> seal_retain t rs
 
 let begin_epoch t ~epoch =
   flush t;
   Array.iter (fun sh -> Hashtbl.reset sh.cache) t.shards;
-  Hashtbl.reset t.current_roots;
   t.epoch <- epoch
 
 let key_of t sh serial =
@@ -294,25 +225,6 @@ let mac_state_of t sh serial =
       Hashtbl.replace sh.mac_states serial st;
       st
 
-let leaf_payload ~serial ~(report : Attestation.report) =
-  Bytes.concat Bytes.empty
-    [
-      Bytes.of_string serial;
-      Task_id.to_bytes report.id;
-      report.nonce;
-      report.mac;
-    ]
-
-let admit_rebuild t ~serial report =
-  t.pending <- (serial, leaf_payload ~serial ~report) :: t.pending;
-  t.pending_count <- t.pending_count + 1;
-  if t.pending_count >= batch_limit then seal_rebuild t
-
-let admit_now t ~serial (report : Attestation.report) =
-  match t.retain with
-  | None -> admit_rebuild t ~serial report
-  | Some rs -> admit_retain t rs ~serial ~id:report.id
-
 let check_report ?(shard = 0) t ~serial ~expected ~nonce
     (report : Attestation.report) =
   let sh = t.shards.(shard) in
@@ -323,7 +235,9 @@ let check_report ?(shard = 0) t ~serial ~expected ~nonce
   then false
   else
     match Hashtbl.find_opt sh.cache serial with
-    | Some e when Crypto.Constant_time.equal e.nonce nonce ->
+    | Some e
+      when Task_id.equal e.id expected
+           && Crypto.Constant_time.equal e.nonce nonce ->
         if t.sequential then tally t "cache_hits"
         else sh.tel_hits <- sh.tel_hits + 1;
         Crypto.Constant_time.equal e.expected_mac report.mac
@@ -340,9 +254,9 @@ let check_report ?(shard = 0) t ~serial ~expected ~nonce
           (* Only verified measurements enter the cache: a forged report
              must never seed the fast path. *)
           Hashtbl.replace sh.cache serial
-            { expected_mac; nonce; sealed_root = None };
-          if t.sequential then admit_now t ~serial report
-          else sh.queue <- (serial, report) :: sh.queue
+            { id = expected; nonce; expected_mac; sealed = false };
+          if t.sequential then admit t ~serial expected
+          else sh.queue <- (serial, expected) :: sh.queue
         end;
         genuine
 
@@ -357,7 +271,7 @@ let drain t =
       (fun sh ->
         let queued = List.rev sh.queue in
         sh.queue <- [];
-        List.iter (fun (serial, report) -> admit_now t ~serial report) queued;
+        List.iter (fun (serial, id) -> admit t ~serial id) queued;
         if sh.tel_hits > 0 then begin
           Telemetry.add t.telemetry ~component:"swarm" "cache_hits" sh.tel_hits;
           sh.tel_hits <- 0
@@ -381,68 +295,49 @@ let query ?(shard = 0) t ~serial ~epoch =
   epoch = t.epoch
   &&
   match Hashtbl.find_opt t.shards.(shard).cache serial with
-  | Some { sealed_root = Some root; _ } ->
-      Cycles.charge t.clock Cost_model.swarm_root_check;
-      let ok = Hashtbl.mem t.current_roots (Bytes.to_string root) in
+  | Some { sealed = true; _ } ->
       (* Serving the cached measurement — the O(1) fast path the
          scalar verifier pays a full KDF + HMAC for. *)
-      if ok then tally t "cache_hits";
-      ok
-  | Some { sealed_root = None; _ } | None -> false
+      Cycles.charge t.clock Cost_model.swarm_root_check;
+      tally t "cache_hits";
+      true
+  | Some { sealed = false; _ } | None -> false
+
+let live_slot t serial =
+  match Hashtbl.find_opt t.slots serial with
+  | Some idx when t.slot_ids.(idx) <> None -> Some idx
+  | _ -> None
 
 let carry t ~serial =
-  match t.retain with
+  match live_slot t serial with
+  | Some idx ->
+      t.slot_epochs.(idx) <- t.epoch;
+      true
   | None -> false
-  | Some rs -> (
-      match Hashtbl.find_opt rs.slots serial with
-      | Some idx when rs.slot_ids.(idx) <> None ->
-          rs.slot_epochs.(idx) <- t.epoch;
-          true
-      | _ -> false)
 
 let carried_healthy t ~serial =
   Cycles.charge t.clock Cost_model.swarm_cache_lookup;
-  match t.retain with
-  | None -> false
-  | Some rs -> (
-      match Hashtbl.find_opt rs.slots serial with
-      | Some idx when rs.slot_ids.(idx) <> None && rs.slot_epochs.(idx) = t.epoch
-        ->
-          Cycles.charge t.clock Cost_model.swarm_root_check;
-          tally t "cache_hits";
-          true
-      | _ -> false)
+  match live_slot t serial with
+  | Some idx when t.slot_epochs.(idx) = t.epoch ->
+      Cycles.charge t.clock Cost_model.swarm_root_check;
+      tally t "cache_hits";
+      true
+  | _ -> false
 
 let membership_proof t ~serial =
-  match t.retain with
+  match live_slot t serial with
+  | Some idx ->
+      Some (leaf ~serial t.slot_ids.(idx), Crypto.Merkle.Inc.proof t.inc idx)
   | None -> None
-  | Some rs -> (
-      match Hashtbl.find_opt rs.slots serial with
-      | Some idx -> (
-          match rs.slot_ids.(idx) with
-          | Some id ->
-              let payload = retain_leaf ~serial (Some id) in
-              Some (payload, Crypto.Merkle.Inc.proof rs.inc idx)
-          | None -> None)
-      | None -> None)
 
-let epoch_deltas t =
-  match t.retain with None -> [] | Some rs -> List.rev rs.deltas
+let epoch_deltas t = List.rev t.deltas
 
 let live_leaves t =
-  match t.retain with
-  | None -> 0
-  | Some rs ->
-      let n = ref 0 in
-      for idx = 0 to rs.slot_count - 1 do
-        if rs.slot_ids.(idx) <> None then incr n
-      done;
-      !n
-
-let batches t =
-  List.rev_map (fun (b : batch) -> (b.epoch, Bytes.copy b.root, b.size)) t.batches
-
-let last_tree t = t.last_tree
+  let n = ref 0 in
+  for idx = 0 to t.slot_count - 1 do
+    if t.slot_ids.(idx) <> None then incr n
+  done;
+  !n
 
 let key_derivations t =
   Array.fold_left (fun acc sh -> acc + sh.key_derivations) 0 t.shards

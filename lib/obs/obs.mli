@@ -14,9 +14,8 @@
     Integrity mirrors the attestation story: each appended record
     extends [head = SHA-256(head ∥ record)], and every
     [checkpoint_every] records the window is sealed under a
-    {!Tytan_crypto.Merkle} root.  That is not an RFC 6962 root: interior
-    nodes hash [left | 0x01 | right], not [0x01 | left | right].
-    {!Log.export} emits a self-contained binary trail;
+    {!Tytan_crypto.Merkle} root (RFC 6962 layout: interior nodes hash
+    [0x01 | left | right]).  {!Log.export} emits a self-contained binary trail;
     {!Log.verify_chain} re-derives everything and rejects truncation,
     splicing, reordering and bit flips — and never raises, whatever
     bytes it is fed. *)

@@ -47,7 +47,7 @@ type epoch_stats = {
   cache_misses : int;
   challenged : int;  (* devices driven through the wire protocol *)
   carried : int;  (* devices carried on liveness without re-challenge *)
-  delta_changed : int;  (* incremental: size of this epoch's sparse delta *)
+  delta_changed : int;  (* size of this epoch's sparse delta *)
   verify_cycles : int;  (* verifier clock delta over this epoch *)
 }
 
@@ -59,7 +59,6 @@ type report = {
   faults : bool;
   loss_percent : int;
   queries_per_epoch : int;
-  steady : bool;
   churn_permille : int;
   rollout : Gate.verdict option;
   per_epoch : epoch_stats list;
@@ -101,8 +100,8 @@ let fault_events ~seed ~devices ~epochs =
 
 (* Reboot churn: per epoch, [churn_permille]/1000 of the fleet power-
    cycles.  A reboot re-derives the device's boot keys (real device
-   cycles, same key value) and, in steady state, forces the verifier to
-   re-challenge the device — continuity of its liveness stream is
+   cycles, same key value) and, in incremental mode, forces the verifier
+   to re-challenge the device — continuity of its liveness stream is
    broken.  A pure function of the seed, so every mode sees the same
    schedule. *)
 let churn_events ~seed ~devices ~epochs ~churn_permille =
@@ -115,13 +114,10 @@ let churn_events ~seed ~devices ~epochs ~churn_permille =
   end
 
 let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
-    ?rollout:rollout_image ?obs ?(domains = 1) ?(steady = false)
-    ?(churn_permille = 0) () =
+    ?rollout:rollout_image ?obs ?(domains = 1) ?(churn_permille = 0) () =
   if devices <= 0 then invalid_arg "Swarm.run: devices must be positive";
   if epochs <= 0 then invalid_arg "Swarm.run: epochs must be positive";
   if domains < 1 then invalid_arg "Swarm.run: domains must be positive";
-  if steady && mode <> Incremental then
-    invalid_arg "Swarm.run: steady requires incremental mode";
   if churn_permille < 0 || churn_permille > 1000 then
     invalid_arg "Swarm.run: churn_permille out of range";
   let domains = max 1 (min domains devices) in
@@ -225,9 +221,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
       Some
         (Aggregator.create
            ~ka_of:(fun ~serial -> Registry.attestation_key registry ~serial)
-           ~clock:verifier_clock ~telemetry
-           ~kind:(if mode = Incremental then Aggregator.Retain else Aggregator.Rebuild)
-           ~shards:domains ())
+           ~clock:verifier_clock ~telemetry ~shards:domains ())
   in
   (match aggregator with
   | Some a when obs <> None ->
@@ -288,7 +282,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
   let slice_cap = Campaign.settle_cap backoff in
   let survived = ref true in
   let stats = ref [] in
-  (* Steady-state bookkeeping: the verdict and proven identity each
+  (* Incremental-policy bookkeeping: the verdict and proven identity each
      device settled on last epoch.  A device is carried (not
      re-challenged) only while all of: it attested cleanly last epoch,
      its RTM still measures the identity it proved (an honest RTM pushes
@@ -325,7 +319,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
     let misses0 = cache_count "cache_misses" in
     let cycles0 = Cycles.now verifier_clock in
     let challenge = Array.make devices true in
-    if steady && e > 0 then
+    if mode = Incremental && e > 0 then
       for d = 0 to devices - 1 do
         let p = provers.(d) in
         challenge.(d) <-
@@ -442,14 +436,14 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
     (* Devices carried on liveness: charge the keepalive processing and
        stamp their retained slots alive before the epoch seals. *)
     (match aggregator with
-    | Some a when steady ->
+    | Some a ->
         for d = 0 to devices - 1 do
           if not challenge.(d) then begin
             Cycles.charge verifier_clock Cost_model.swarm_liveness;
             ignore (Aggregator.carry a ~serial:provers.(d).serial)
           end
         done
-    | _ -> ());
+    | None -> ());
     (match aggregator with Some a -> Aggregator.flush a | None -> ());
     let verdicts =
       String.init devices (fun d ->
@@ -534,28 +528,18 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
         if (not (silent provers.(d) ~epoch:e)) && not provers.(d).tampered then
           if c <> 'A' && c <> 'a' then survived := false)
       verdicts;
-    let batch_list =
-      match aggregator with Some a -> Aggregator.batches a | None -> []
-    in
-    let epoch_batches =
-      List.filter (fun (be, _, _) -> be = e) batch_list
-    in
-    let root_hex =
-      match List.rev epoch_batches with
-      | (_, root, _) :: _ -> Crypto.Sha256.to_hex root
-      | [] -> ""
-    in
-    let delta_changed =
+    let sealed =
       match aggregator with
-      | Some a when mode = Incremental -> (
-          match
-            List.find_opt
-              (fun (d : Aggregator.delta) -> d.Aggregator.at_epoch = e)
-              (Aggregator.epoch_deltas a)
-          with
-          | Some d -> List.length d.Aggregator.changed
-          | None -> 0)
-      | _ -> 0
+      | Some a ->
+          List.filter
+            (fun (d : Aggregator.delta) -> d.at_epoch = e)
+            (Aggregator.epoch_deltas a)
+      | None -> []
+    in
+    let root_hex, delta_changed =
+      match List.rev sealed with
+      | d :: _ -> (Crypto.Sha256.to_hex d.new_root, List.length d.changed)
+      | [] -> ("", 0)
     in
     merge_worker_clocks ();
     let verify_cycles = Cycles.now verifier_clock - cycles0 in
@@ -572,7 +556,7 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
         verdicts;
         healthy_polls = !healthy_polls;
         slices = !slice;
-        batches = List.length epoch_batches;
+        batches = List.length sealed;
         root_hex;
         cache_hits = cache_count "cache_hits" - hits0;
         cache_misses = cache_count "cache_misses" - misses0;
@@ -595,7 +579,6 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
     faults;
     loss_percent;
     queries_per_epoch;
-    steady;
     churn_permille;
     rollout;
     per_epoch = List.rev !stats;
@@ -622,12 +605,10 @@ let body r =
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add
-    "swarm campaign: mode=%s devices=%d epochs=%d seed=%d faults=%s loss=%d%% queries/epoch=%d steady=%s churn=%d\n"
+    "swarm campaign: mode=%s devices=%d epochs=%d seed=%d faults=%s loss=%d%% queries/epoch=%d churn=%d\n"
     (mode_label r.mode) r.devices r.epochs r.seed
     (if r.faults then "on" else "off")
-    r.loss_percent r.queries_per_epoch
-    (if r.steady then "on" else "off")
-    r.churn_permille;
+    r.loss_percent r.queries_per_epoch r.churn_permille;
   (match r.rollout with
   | None -> ()
   | Some { Gate.accepted = true; vet_cycles; _ } ->
@@ -665,18 +646,18 @@ let normalize_verdicts s =
 
 (* Mode-independent semantic content: what the verifier concluded about
    each device ('a' carried folds into 'A' — both vouch for health),
-   how many health polls answered positive, how long settling took, and
-   whether the honest fleet survived.  Everything mode-specific (roots,
-   cache shape, batch count, cycle totals) is excluded, so scalar,
-   batched, incremental and any domain count must all agree byte for
-   byte on identity-schedule campaigns. *)
+   how many health polls answered positive, and whether the honest fleet
+   survived.  Everything mode-specific (roots, cache shape, batch count,
+   cycle totals, and settle slices, which depend on which devices the
+   policy challenges) is excluded, so scalar, batched, incremental and
+   any domain count must all agree byte for byte. *)
 let semantic_digest r =
   let b = Buffer.create 256 in
   List.iter
     (fun s ->
-      Printf.ksprintf (Buffer.add_string b) "%s|%d|%d\n"
+      Printf.ksprintf (Buffer.add_string b) "%s|%d\n"
         (normalize_verdicts s.verdicts)
-        s.healthy_polls s.slices)
+        s.healthy_polls)
     r.per_epoch;
   Buffer.add_string b (if r.survived then "survived" else "lost");
   Crypto.Sha256.to_hex (Crypto.Sha256.digest_string (Buffer.contents b))

@@ -7,30 +7,31 @@
     ({!Fleet.reference_image}), then polls fleet health six times per
     epoch (the report's [queries_per_epoch]).
 
-    Three verifier engines drive {e identical wire traffic} — per-device
-    {!Tytan_netsim.Verifier} retry sessions labelled [serial/eN], so the
-    nonce, sequence and retransmission schedule of every session are the
-    same in every mode — and differ only in how a response is judged and
-    what survives between epochs:
+    Three modes drive per-device {!Tytan_netsim.Verifier} retry
+    sessions labelled [serial/eN], so the nonce, sequence and
+    retransmission schedule of a device's session are the same in every
+    mode.  They differ in how a response is judged and in which devices
+    are challenged:
 
-    - {!Scalar}: the stateless baseline.  Every session re-derives the
-      device's Ka from the registry and re-runs the HMAC check, and so
-      does every health poll.
-    - {!Batched}: responses are routed through
-      {!Tytan_netsim.Aggregator} — Ka cached per campaign, measurement
-      cache per nonce epoch, verified reports sealed into epoch-stamped
-      Merkle roots, health polls answered in O(1).  The Merkle tree is
-      rebuilt from scratch every epoch.
-    - {!Incremental}: the aggregator retains one leaf per device across
-      epochs ({!Tytan_netsim.Aggregator.Retain}), recomputes only the
-      root-paths of leaves that changed, and emits a sparse per-epoch
-      delta.  On an identity schedule (every device challenged each
-      epoch) it is verdict- and poll-identical to {!Batched}.
+    - {!Scalar}: the stateless baseline.  Every device is challenged
+      every epoch; every session re-derives the device's Ka from the
+      registry and re-runs the HMAC check, and so does every health
+      poll.
+    - {!Batched}: every device is challenged every epoch, and responses
+      are routed through {!Tytan_netsim.Aggregator} — Ka cached per
+      campaign, measurement cache per nonce epoch, verified identities
+      kept as leaves of one epoch-persistent Merkle tree whose dirty
+      paths are committed once per epoch, health polls answered in
+      O(1).
+    - {!Incremental}: the same aggregator under the incremental
+      challenge policy (below): after an epoch-0 sweep only devices
+      whose continuity broke are challenged; the rest are carried on
+      liveness.
 
-    Because the wire schedules coincide, the modes must produce
-    byte-identical per-device verdicts; the differential test locks this
-    down, which in turn pins the cache logic (a cache that ever served a
-    stale epoch would diverge).
+    Scalar and batched run the same sweep over the same wire schedule,
+    so they must produce byte-identical per-device verdicts; the
+    differential test locks this down, which in turn pins the cache
+    logic (a cache that ever served a stale epoch would diverge).
 
     {2 Parallel verification}
 
@@ -43,10 +44,10 @@
     [domains] at all).  Cycle charging uses per-domain compression
     counters merged by commutative sum at sequential sync points.
 
-    {2 Steady state}
+    {2 Incremental challenge policy}
 
-    With [~steady:true] (incremental mode only) epoch 0 challenges the
-    whole fleet; afterwards a device is re-challenged only when its
+    In {!Incremental} mode epoch 0 challenges the whole fleet;
+    afterwards a device is re-challenged only when its
     continuity breaks: its last verdict was not clean, its RTM measures
     a different identity than it last proved, it rebooted (churn), or
     its out-of-band keepalive stream lapsed this epoch.  Devices carried
@@ -55,14 +56,14 @@
     leaf — the O(changed) epoch.  [~churn_permille] reboots that
     fraction of the fleet per epoch on a seed-determined schedule
     (identical in every mode; a reboot re-derives device keys and, in
-    steady state, forces a re-challenge).
+    incremental mode, forces a re-challenge).
 
     With [~faults] a {!Tytan_fault.Fault_plan}-derived schedule tampers
     firmware images (the device then honestly refuses), kills devices
     outright, or hangs them for one epoch, and the links additionally
     corrupt, duplicate and reorder frames.  Everything is seeded:
-    the same [(mode, devices, epochs, seed, faults, domains, steady,
-    churn)] tuple reproduces the same report bit for bit. *)
+    the same [(mode, devices, epochs, seed, faults, domains, churn)]
+    tuple reproduces the same report bit for bit. *)
 
 type mode =
   | Scalar
@@ -78,18 +79,17 @@ type epoch_stats = {
   gave_up : int;
   verdicts : string;
       (** one char per device index: [A]ttested, [a] carried on
-          liveness (steady state), [R]efused, [G]ave_up,
+          liveness (incremental mode), [R]efused, [G]ave_up,
           [C]fa_rejected, [?] pending *)
   healthy_polls : int;  (** positive fleet-health poll answers *)
   slices : int;  (** discrete-event slices until the fleet settled *)
-  batches : int;  (** Merkle batches sealed this epoch (0 in scalar) *)
+  batches : int;  (** Merkle roots sealed this epoch (0 in scalar) *)
   root_hex : string;  (** last sealed root, [""] in scalar mode *)
   cache_hits : int;
   cache_misses : int;
   challenged : int;  (** devices driven through the wire protocol *)
   carried : int;  (** devices carried on liveness without re-challenge *)
-  delta_changed : int;
-      (** incremental modes: leaves in this epoch's sparse delta *)
+  delta_changed : int;  (** leaves in this epoch's sparse delta *)
   verify_cycles : int;  (** verifier clock advance over this epoch *)
 }
 
@@ -101,7 +101,6 @@ type report = {
   faults : bool;
   loss_percent : int;
   queries_per_epoch : int;
-  steady : bool;
   churn_permille : int;
   rollout : Tytan_core.Gate.verdict option;
       (** the {!Tytan_core.Gate.vet} verdict on a firmware image pushed
@@ -131,12 +130,11 @@ val run :
   ?rollout:Tytan_telf.Telf.t ->
   ?obs:Tytan_obs.Obs.Log.t ->
   ?domains:int ->
-  ?steady:bool ->
   ?churn_permille:int ->
   unit ->
   report
 (** Defaults: no faults, 10% frame loss, no rollout, [domains = 1],
-    [steady = false], [churn_permille = 0].
+    [churn_permille = 0].
     With [~rollout] the campaign first pushes that TELF to
     every device: an image that survives the six-check vet is adopted
     as the fleet firmware (and attested from then on); one that does
@@ -150,13 +148,12 @@ val run :
     the campaign's global slice axis.  Recording charges no cycles —
     an observed run is bit-identical to an unobserved one.
 
-    [domains] is clamped to [devices]; [~steady:true] with a mode other
-    than {!Incremental} and out-of-range [churn_permille] raise
-    [Invalid_argument]. *)
+    [domains] is clamped to [devices]; an out-of-range [churn_permille]
+    raises [Invalid_argument]. *)
 
 val verdicts : report -> string list
 (** Per-epoch verdict strings — the value the differential test compares
-    across modes byte for byte. *)
+    across the two sweeping modes byte for byte. *)
 
 val to_string : report -> string
 (** Deterministic rendering ending in a [digest: sha1:...] line over the
@@ -170,10 +167,11 @@ val equal : report -> report -> bool
 val semantic_digest : report -> string
 (** SHA-256 hex over the mode-independent semantic content: per-epoch
     verdict strings with ['a'] normalised to ['A'] (a carried device is
-    vouched-for exactly like an attested one), healthy-poll counts,
-    settle slices, and survival.  Mode-specific shape (roots, batch and
-    cache counts, cycle totals) is excluded, so scalar, batched and
-    incremental runs of the same identity-schedule campaign must agree. *)
+    vouched-for exactly like an attested one), healthy-poll counts and
+    survival.  Mode-specific shape (roots, batch and cache counts, cycle
+    totals, and settle slices, which depend on which devices the policy
+    challenges) is excluded, so scalar, batched and incremental runs of
+    the same campaign must agree. *)
 
 val campaign_failed : report -> bool
 (** True when any session verdict is ['?'] (pending): the campaign

@@ -31,7 +31,6 @@ let backoff = Verifier.default_backoff
 let breaker_threshold = 3
 let quarantine_slices = 256
 let epoch_slices = 64
-let slice_cycles = 32_000
 
 type refusal =
   | Busy
@@ -655,14 +654,11 @@ type report = {
   queue_bound : int;
   p50_slices : int;
   p99_slices : int;
-  p50_cycles : int;
-  p99_cycles : int;
   throughput_per_kslice : int;
   quarantined : string list;
   quarantine_trips : int;
   evictions : int;
   key_derivations : int;
-  batches : int;
   malformed_frames : int;
   stale_frames : int;
   unknown_frames : int;
@@ -721,14 +717,11 @@ let report_of t ~load_slices ~arrival_permille ~think =
     queue_bound = t.cfg.max_pending;
     p50_slices = rank 50;
     p99_slices = rank 99;
-    p50_cycles = rank 50 * slice_cycles;
-    p99_cycles = rank 99 * slice_cycles;
     throughput_per_kslice = settled * 1000 / max 1 t.now;
     quarantined = List.sort compare t.quarantined_serials;
     quarantine_trips = count t "quarantines";
     evictions = count t "evictions";
     key_derivations = t.key_derivations;
-    batches = List.length (Aggregator.batches t.aggregator);
     malformed_frames = malformed_frames t;
     stale_frames = stale_frames t;
     unknown_frames = unknown_frames t;
@@ -836,13 +829,11 @@ let body r =
   add "verdicts: attested=%d refused=%d timed_out=%d cfa_rejected=%d\n"
     r.attested r.refused r.timed_out r.cfa_rejected;
   add "queue: max_depth=%d bound=%d\n" r.max_queue_depth r.queue_bound;
-  add "latency: p50=%d p99=%d slices (p50=%d p99=%d cycles)\n" r.p50_slices
-    r.p99_slices r.p50_cycles r.p99_cycles;
+  add "latency: p50=%d p99=%d slices\n" r.p50_slices r.p99_slices;
   add "throughput=%d settled/kslice\n" r.throughput_per_kslice;
   add "quarantine: trips=%d devices=[%s]\n" r.quarantine_trips
     (String.concat " " r.quarantined);
   add "store: evictions=%d key_derivations=%d\n" r.evictions r.key_derivations;
-  add "batches=%d\n" r.batches;
   add "frames: malformed=%d stale=%d unknown=%d\n" r.malformed_frames
     r.stale_frames r.unknown_frames;
   add "verifier_cycles=%d device_cycles=%d\n" r.verifier_cycles r.device_cycles;

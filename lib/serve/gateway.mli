@@ -52,9 +52,8 @@ val default_config : config
     The rest of the regime is fixed: 128 sessions in flight, 6
     attempts per session under {!Tytan_netsim.Verifier.default_backoff}, a breaker
     that trips after 3 consecutive failed sessions and holds for 256
-    slices, 64-slice aggregator nonce epochs (batches rebuilt per
-    epoch, {!Tytan_netsim.Aggregator.Rebuild}), and 32 000 nominal cycles per slice
-    for the latency rows. *)
+    slices, and 64-slice aggregator nonce epochs (the retained Merkle
+    tree seals once per epoch). *)
 
 type refusal =
   | Busy  (** pending queue full — load shed *)
@@ -162,15 +161,12 @@ type report = {
   queue_bound : int;  (** the configured [max_pending], for the record *)
   p50_slices : int;  (** median admitted-to-settled latency *)
   p99_slices : int;
-  p50_cycles : int;  (** the same at 32 000 cycles per slice *)
-  p99_cycles : int;
   throughput_per_kslice : int;  (** settled sessions per 1000 slices *)
   quarantined : string list;  (** serials ever quarantined, sorted *)
   quarantine_trips : int;
   evictions : int;  (** LRU device-state evictions *)
   key_derivations : int;  (** gateway-side Ka derivations (re-admissions
                               after eviction derive again) *)
-  batches : int;  (** Merkle batches sealed by the aggregator *)
   malformed_frames : int;
   stale_frames : int;
   unknown_frames : int;

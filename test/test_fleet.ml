@@ -1,8 +1,11 @@
 (* Fleet-scale swarm attestation: the differential harness proving the
    batched/cached verifier verdict-identical to N independent scalar
-   sessions (including under injected faults), plus unit tests for the
+   sessions (including under injected faults), the incremental challenge
+   policy semantically identical to the full sweep, unit tests for the
    aggregator's measurement cache — epoch scoping, forgery rejection,
-   Merkle batch membership — and the headline cycle ratio. *)
+   Merkle membership — a differential of the aggregator against the
+   rebuild-per-seal reference (Ref_aggregator), and the headline cycle
+   ratio. *)
 
 open Tytan_core
 open Tytan_netsim
@@ -69,25 +72,27 @@ let differential_tests =
           (non_attested > 0));
   ]
 
-(* --- Three-mode soak: scalar == batched == incremental --------------------- *)
+(* --- Soak: full sweep vs incremental policy --------------------------------- *)
 
-(* On an identity schedule (no --steady) all three engines must agree:
-   batched and incremental are checked verdict-by-verdict against scalar,
-   and the mode-independent semantic digest must match exactly.  20
-   seeds, alternating fault injection and link loss, so the agreement is
-   exercised across refusals, kills, hangs and hostile links — not just
-   the happy path. *)
+(* Scalar and batched sweep the same wire schedule, so they must agree
+   verdict by verdict and slice by slice.  The incremental policy carries
+   healthy devices instead of re-challenging them, so its settle slices
+   differ, but what it concludes must not: the semantic digest (verdicts
+   with carried 'a' read as 'A', healthy polls, survival) must equal the
+   sweep's.  20 seeds, all with reboot churn, alternating fault injection
+   and link loss, so a device carried past a tamper, kill, hang or reboot
+   would show up as a digest mismatch. *)
 let soak_tests =
   [
-    Alcotest.test_case "20-seed soak: all modes verdict- and digest-identical"
+    Alcotest.test_case "20-seed soak: sweep and incremental digests agree"
       `Quick (fun () ->
         List.iter
           (fun seed ->
             let faults = seed land 1 = 1 in
             let loss = if seed mod 3 = 0 then 12 else 0 in
             let run mode =
-              Swarm.run ~mode ~devices:14 ~epochs:3 ~seed ~faults
-                ~loss_percent:loss ()
+              Swarm.run ~mode ~devices:14 ~epochs:4 ~seed ~faults
+                ~loss_percent:loss ~churn_permille:100 ()
             in
             let s = run Swarm.Scalar in
             let b = run Swarm.Batched in
@@ -98,20 +103,26 @@ let soak_tests =
             Alcotest.(check (list string))
               (ctx ^ ": scalar/batched verdicts")
               (Swarm.verdicts s) (Swarm.verdicts b);
-            Alcotest.(check (list string))
-              (ctx ^ ": batched/incremental verdicts")
-              (Swarm.verdicts b) (Swarm.verdicts i);
-            Alcotest.(check string)
-              (ctx ^ ": semantic digest scalar/incremental")
-              (Swarm.semantic_digest s)
-              (Swarm.semantic_digest i);
+            Alcotest.(check (list int))
+              (ctx ^ ": scalar/batched settle slices")
+              (List.map (fun (e : Swarm.epoch_stats) -> e.Swarm.slices)
+                 s.Swarm.per_epoch)
+              (List.map (fun (e : Swarm.epoch_stats) -> e.Swarm.slices)
+                 b.Swarm.per_epoch);
             Alcotest.(check string)
               (ctx ^ ": semantic digest scalar/batched")
               (Swarm.semantic_digest s)
               (Swarm.semantic_digest b);
+            Alcotest.(check string)
+              (ctx ^ ": semantic digest batched/incremental")
+              (Swarm.semantic_digest b)
+              (Swarm.semantic_digest i);
             Alcotest.(check bool)
-              (ctx ^ ": survival verdict")
-              s.Swarm.survived i.Swarm.survived)
+              (ctx ^ ": incremental carried someone")
+              true
+              (List.exists
+                 (fun (e : Swarm.epoch_stats) -> e.Swarm.carried > 0)
+                 i.Swarm.per_epoch))
           (List.init 20 (fun i -> i + 1)));
   ]
 
@@ -124,19 +135,18 @@ let soak_tests =
    single-core hosts where spawning domains proves nothing. *)
 let parallel_tests =
   let multicore = Domain.recommended_domain_count () > 1 in
-  let identical ?(faults = false) ?(steady = false) ?(churn_permille = 0) ~mode
-      ~seed () =
+  let identical ?(faults = false) ?(churn_permille = 0) ~mode ~seed () =
     let go domains =
       Swarm.to_string
-        (Swarm.run ~mode ~devices:16 ~epochs:3 ~seed ~faults ~domains ~steady
+        (Swarm.run ~mode ~devices:16 ~epochs:3 ~seed ~faults ~domains
            ~churn_permille ())
     in
     let sequential = go 1 in
     List.iter
       (fun domains ->
         Alcotest.(check string)
-          (Printf.sprintf "%s seed=%d faults=%b steady=%b: %d domains"
-             (Swarm.mode_label mode) seed faults steady domains)
+          (Printf.sprintf "%s seed=%d faults=%b churn=%d: %d domains"
+             (Swarm.mode_label mode) seed faults churn_permille domains)
           sequential (go domains))
       [ 2; 4 ]
   in
@@ -157,9 +167,8 @@ let parallel_tests =
            identical ~mode:Swarm.Scalar ~seed:3 ()));
     Alcotest.test_case "steady-state churn campaigns shard identically" `Quick
       (guarded (fun () ->
-           identical ~mode:Swarm.Incremental ~seed:5 ~steady:true
-             ~churn_permille:80 ();
-           identical ~mode:Swarm.Incremental ~seed:9 ~faults:true ~steady:true
+           identical ~mode:Swarm.Incremental ~seed:5 ~churn_permille:80 ();
+           identical ~mode:Swarm.Incremental ~seed:9 ~faults:true
              ~churn_permille:40 ()));
   ]
 
@@ -167,7 +176,7 @@ let parallel_tests =
 
 let steady_run ?(devices = 24) ?(epochs = 5) ?(seed = 5) ?(faults = false)
     ?(churn_permille = 50) () =
-  Swarm.run ~mode:Swarm.Incremental ~devices ~epochs ~seed ~faults ~steady:true
+  Swarm.run ~mode:Swarm.Incremental ~devices ~epochs ~seed ~faults
     ~churn_permille ()
 
 let steady_tests =
@@ -246,17 +255,24 @@ let steady_tests =
               Alcotest.failf "sweep %d < 10x worst steady epoch %d"
                 sweep.Swarm.verify_cycles worst_steady
         | _ -> Alcotest.fail "need a sweep and at least one steady epoch");
-    Alcotest.test_case "steady mode requires the incremental engine" `Quick
-      (fun () ->
+    Alcotest.test_case "the sweeping modes challenge everyone every epoch"
+      `Quick (fun () ->
+        (* The challenge policy is the mode: under the same churn and
+           faults that make incremental mode carry most of the fleet,
+           scalar and batched carry no one. *)
         List.iter
           (fun mode ->
-            Alcotest.(check bool)
-              (Swarm.mode_label mode ^ " rejected") true
-              (try
-                 ignore
-                   (Swarm.run ~mode ~devices:4 ~epochs:2 ~seed:1 ~steady:true ());
-                 false
-               with Invalid_argument _ -> true))
+            let r =
+              Swarm.run ~mode ~devices:24 ~epochs:4 ~seed:5 ~faults:true
+                ~churn_permille:50 ()
+            in
+            List.iter
+              (fun (e : Swarm.epoch_stats) ->
+                Alcotest.(check int)
+                  (Printf.sprintf "%s epoch %d challenges the fleet"
+                     (Swarm.mode_label mode) e.Swarm.epoch)
+                  24 e.Swarm.challenged)
+              r.Swarm.per_epoch)
           [ Swarm.Scalar; Swarm.Batched ]);
   ]
 
@@ -309,10 +325,10 @@ let genuine_report ~serial ~nonce =
   }
 
 (* The aggregator counts cache hits and misses only in its registry. *)
-let make_aggregator ?kind () =
+let make_aggregator ?shards () =
   let clock = Cycles.create () in
   let telemetry = Campaign.telemetry clock in
-  (Aggregator.create ~ka_of:test_ka ~clock ~telemetry ?kind (), telemetry)
+  (Aggregator.create ~ka_of:test_ka ~clock ~telemetry ?shards (), telemetry)
 
 let swarm_count telemetry name =
   Telemetry.counter telemetry ~component:"swarm" name
@@ -381,26 +397,25 @@ let aggregator_tests =
                (genuine_report ~serial ~nonce))
         done;
         Aggregator.flush a;
-        (match Aggregator.batches a with
-        | [ (epoch, _, size) ] ->
-            Alcotest.(check int) "stamped with the epoch" 0 epoch;
-            Alcotest.(check int) "all 13 leaves sealed" 13 size
-        | l -> Alcotest.failf "expected one batch, got %d" (List.length l));
-        match Aggregator.last_tree a with
-        | None -> Alcotest.fail "no sealed tree"
-        | Some (tree, leaves) ->
-            let root = Crypto.Merkle.root tree in
-            Array.iteri
-              (fun i leaf ->
-                Alcotest.(check bool)
-                  (Printf.sprintf "leaf %d membership proof" i)
-                  true
-                  (Crypto.Merkle.verify ~root ~leaf
-                     (Crypto.Merkle.proof tree i)))
-              leaves);
+        match Aggregator.epoch_deltas a with
+        | [ d ] ->
+            Alcotest.(check int) "stamped with the epoch" 0 d.Aggregator.at_epoch;
+            Alcotest.(check int) "all 13 leaves sealed" 13
+              (List.length d.Aggregator.changed);
+            for i = 0 to 12 do
+              let serial = Printf.sprintf "s%02d" i in
+              match Aggregator.membership_proof a ~serial with
+              | Some (leaf, proof) ->
+                  Alcotest.(check bool)
+                    (serial ^ " membership proof")
+                    true
+                    (Crypto.Merkle.verify ~root:d.Aggregator.new_root ~leaf proof)
+              | None -> Alcotest.failf "%s has no membership proof" serial
+            done
+        | l -> Alcotest.failf "expected one seal, got %d" (List.length l));
     Alcotest.test_case "retained tree: carry, tombstone, membership, deltas"
       `Quick (fun () ->
-        let a, _ = make_aggregator ~kind:Aggregator.Retain () in
+        let a, _ = make_aggregator () in
         let attest ~serial ~nonce =
           Alcotest.(check bool) (serial ^ " admitted") true
             (Aggregator.check_report a ~serial ~expected:fw_id ~nonce
@@ -427,10 +442,9 @@ let aggregator_tests =
         | None -> Alcotest.fail "live device must have a membership proof"
         | Some (leaf, proof) ->
             let root =
-              match Aggregator.batches a with
-              | [ (0, root, 3) ] -> root
-              | l -> Alcotest.failf "expected one 3-leaf batch, got %d"
-                       (List.length l)
+              match Aggregator.epoch_deltas a with
+              | [ d ] -> d.Aggregator.new_root
+              | l -> Alcotest.failf "expected one seal, got %d" (List.length l)
             in
             Alcotest.(check bool) "proof verifies against the sealed root" true
               (Crypto.Merkle.verify ~root ~leaf proof));
@@ -471,6 +485,186 @@ let aggregator_tests =
                 Alcotest.failf "expected exactly the departure, got %d entries"
                   (List.length l))
         | l -> Alcotest.failf "expected two deltas, got %d" (List.length l)));
+  ]
+
+(* --- Differential: Aggregator vs the rebuild-per-seal reference ------------ *)
+
+type report_kind =
+  | Genuine  (** MAC over the epoch nonce *)
+  | Forged  (** garbage MAC *)
+  | Wrong_nonce  (** genuine for last epoch's nonce, checked against this one *)
+  | Second_session  (** genuine under a second nonce in the same epoch *)
+
+type agg_op =
+  | Check of int * report_kind * int  (* device, kind, firmware 0/1 *)
+  | Query of int
+  | Carry of int
+  | Carried_healthy of int
+  | Flush
+  | Begin_epoch
+
+let agg_devices = 6
+let firmware = [| fw_id; Task_id.of_image (Bytes.of_string "aggregator-fw-b") |]
+
+let agg_op_gen =
+  QCheck.Gen.(
+    let dev = int_bound (agg_devices - 1) in
+    let kind =
+      frequency
+        [ (5, return Genuine); (2, return Forged); (1, return Wrong_nonce);
+          (2, return Second_session) ]
+    in
+    frequency
+      [
+        (8, map3 (fun d k fw -> Check (d, k, fw)) dev kind
+              (frequency [ (4, return 0); (1, return 1) ]));
+        (2, map (fun d -> Query d) dev);
+        (2, map (fun d -> Carry d) dev);
+        (1, map (fun d -> Carried_healthy d) dev);
+        (1, return Flush);
+        (2, return Begin_epoch);
+      ])
+
+let agg_ops_arb =
+  QCheck.make
+    QCheck.Gen.(list_size (int_range 1 80) agg_op_gen)
+    ~print:(fun ops ->
+      String.concat " "
+        (List.map
+           (function
+             | Check (d, k, fw) ->
+                 Printf.sprintf "check%d%s/fw%d" d
+                   (match k with
+                   | Genuine -> "" | Forged -> "!forged"
+                   | Wrong_nonce -> "!stale" | Second_session -> "+2nd")
+                   fw
+             | Query d -> Printf.sprintf "query%d" d
+             | Carry d -> Printf.sprintf "carry%d" d
+             | Carried_healthy d -> Printf.sprintf "healthy%d" d
+             | Flush -> "flush"
+             | Begin_epoch -> "epoch")
+           ops))
+
+(* Replay one schedule against the aggregator and the reference.  Every
+   answer must match; after every seal the sealed roots must match, and
+   every live device's membership proof must verify against the
+   reference root over the reference's payload.  With several shards a
+   device checks on its pinned shard and both sides drain before
+   anything that reads or writes the retained tree. *)
+let replay_against_reference ~shards ops =
+  let a, _ = make_aggregator ~shards () in
+  let r = Ref_aggregator.create ~ka_of:test_ka ~shards in
+  let serial d = Printf.sprintf "dev%d" d in
+  let shard d = d * shards / agg_devices in
+  let epoch = ref 0 in
+  let epoch_nonce e = Bytes.of_string (Printf.sprintf "epoch-nonce-%d" e) in
+  let same what x y =
+    if x <> y then
+      QCheck.Test.fail_reportf "%s: aggregator %b, reference %b" what x y
+  in
+  let drain () =
+    Aggregator.drain a;
+    Ref_aggregator.drain r
+  in
+  let check_seals () =
+    let roots =
+      List.map (fun (d : Aggregator.delta) -> d.Aggregator.new_root)
+        (Aggregator.epoch_deltas a)
+    in
+    if roots <> Ref_aggregator.roots r then
+      QCheck.Test.fail_reportf "sealed roots differ (%d vs %d seals)"
+        (List.length roots) (List.length (Ref_aggregator.roots r));
+    match List.rev roots with
+    | [] -> ()
+    | root :: _ ->
+        for d = 0 to agg_devices - 1 do
+          let serial = serial d in
+          match
+            (Aggregator.membership_proof a ~serial,
+             Ref_aggregator.member_payload r ~serial)
+          with
+          | None, None -> ()
+          | Some (leaf, proof), Some expected ->
+              if not (Bytes.equal leaf expected
+                      && Crypto.Merkle.verify ~root ~leaf proof) then
+                QCheck.Test.fail_reportf "%s: membership proof rejected" serial
+          | Some _, None | None, Some _ ->
+              QCheck.Test.fail_reportf "%s: liveness differs" serial
+        done
+  in
+  List.iter
+    (fun op ->
+      match op with
+      | Check (d, kind, fw) ->
+          let serial = serial d and expected = firmware.(fw) in
+          let nonce =
+            match kind with
+            | Second_session -> Bytes.of_string (Printf.sprintf "second-%d" !epoch)
+            | _ -> epoch_nonce !epoch
+          in
+          let report =
+            let genuine ~nonce =
+              {
+                Attestation.id = expected;
+                nonce;
+                mac = Attestation.expected_mac ~ka:(test_ka ~serial) ~id:expected
+                    ~nonce;
+              }
+            in
+            match kind with
+            | Genuine | Second_session -> genuine ~nonce
+            | Forged -> { (genuine ~nonce) with mac = Bytes.make 20 '\x5a' }
+            | Wrong_nonce -> genuine ~nonce:(epoch_nonce (!epoch - 1))
+          in
+          same ("check " ^ serial)
+            (Aggregator.check_report ~shard:(shard d) a ~serial ~expected ~nonce
+               report)
+            (Ref_aggregator.check_report ~shard:(shard d) r ~serial ~expected
+               ~nonce report)
+      | Query d ->
+          let serial = serial d in
+          same ("query " ^ serial)
+            (Aggregator.query ~shard:(shard d) a ~serial ~epoch:!epoch)
+            (Ref_aggregator.query r ~serial ~epoch:!epoch)
+      | Carry d ->
+          drain ();
+          let serial = serial d in
+          same ("carry " ^ serial) (Aggregator.carry a ~serial)
+            (Ref_aggregator.carry r ~serial)
+      | Carried_healthy d ->
+          drain ();
+          let serial = serial d in
+          same ("carried_healthy " ^ serial)
+            (Aggregator.carried_healthy a ~serial)
+            (Ref_aggregator.carried_healthy r ~serial)
+      | Flush ->
+          drain ();
+          Aggregator.flush a;
+          Ref_aggregator.flush r;
+          check_seals ()
+      | Begin_epoch ->
+          drain ();
+          incr epoch;
+          Aggregator.begin_epoch a ~epoch:!epoch;
+          Ref_aggregator.begin_epoch r ~epoch:!epoch;
+          check_seals ())
+    ops;
+  drain ();
+  Aggregator.flush a;
+  Ref_aggregator.flush r;
+  check_seals ();
+  true
+
+let reference_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300
+         ~name:"one shard: verdicts, polls and roots match the reference"
+         agg_ops_arb (replay_against_reference ~shards:1));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300
+         ~name:"three shards + drain: verdicts, polls and roots match"
+         agg_ops_arb (replay_against_reference ~shards:3));
   ]
 
 (* --- Firmware rollout: fleet-wide flow vet --------------------------------- *)
@@ -566,5 +760,6 @@ let () =
       ("steady", steady_tests);
       ("ratio", ratio_tests);
       ("aggregator", aggregator_tests);
+      ("reference", reference_tests);
       ("rollout", rollout_tests);
     ]

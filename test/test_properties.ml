@@ -653,12 +653,47 @@ let merkle_props =
         && Crypto.Merkle.verify ~root:(Crypto.Merkle.root t) ~leaf []);
   ]
 
+(* RFC 6962 domain separation: with the old [left | 0x01 | right] node
+   layout, an interior node whose left child's digest begins with 0x00
+   hashes exactly like the leaf [left[1..] | 0x01 | right], so that
+   "leaf" plus the node's own path verified as a member.  Build that
+   re-presentation and require it to be rejected. *)
+let interior_node_as_leaf () =
+  let rec zero_led i =
+    let payload = Bytes.of_string (Printf.sprintf "leaf-%d" i) in
+    if Bytes.get (Crypto.Merkle.leaf_hash payload) 0 = '\x00' then payload
+    else zero_led (i + 1)
+  in
+  let leaves =
+    [| zero_led 0; Bytes.of_string "b"; Bytes.of_string "c"; Bytes.of_string "d" |]
+  in
+  let t = Crypto.Merkle.build leaves in
+  let root = Crypto.Merkle.root t in
+  let left = Crypto.Merkle.leaf_hash leaves.(0) in
+  let right = Crypto.Merkle.leaf_hash leaves.(1) in
+  let forged =
+    Bytes.concat Bytes.empty
+      [ Bytes.sub left 1 (Bytes.length left - 1); Bytes.make 1 '\x01'; right ]
+  in
+  (* The path above the interior node (left, right): leaf 0's proof
+     without its first step. *)
+  let above = List.tl (Crypto.Merkle.proof t 0) in
+  Alcotest.(check bool) "the genuine leaf verifies" true
+    (Crypto.Merkle.verify ~root ~leaf:leaves.(0) (Crypto.Merkle.proof t 0));
+  Alcotest.(check bool) "the interior node is rejected as a leaf" false
+    (Crypto.Merkle.verify ~root ~leaf:forged above)
+
 let () =
   Alcotest.run "properties"
     [
       ("word", List.map to_alcotest word_props);
       ("crypto", List.map to_alcotest crypto_props);
-      ("merkle", List.map to_alcotest merkle_props);
+      ( "merkle",
+        List.map to_alcotest merkle_props
+        @ [
+            Alcotest.test_case "an interior node is not accepted as a leaf"
+              `Quick interior_node_as_leaf;
+          ] );
       ("isa", List.map to_alcotest isa_props);
       ("telf", List.map to_alcotest telf_props);
       ("flow", List.map to_alcotest flow_props);
