@@ -36,25 +36,6 @@ type kind =
     }
   | Task_kill of { name : string }
   | Task_hang of { name : string }
-  | Burst_loss of {
-      name : string;
-      duration : int;
-    }
-  | Device_stall of {
-      name : string;
-      duration : int;
-    }
-  | Late_reply of {
-      name : string;
-      extra : int;
-      duration : int;
-    }
-  | Frame_truncate of {
-      name : string;
-      count : int;
-    }
-  | Counter_reset of { name : string }
-  | Canary_crash of { name : string }
 
 type event = {
   at_tick : int;
@@ -86,20 +67,6 @@ let random_bit_flips rng ~count ~base ~size ~first_tick ~last_tick =
       let bit = Prng.int rng 8 in
       { at_tick; kind = Bit_flip { addr; bit } })
 
-let kind_label = function
-  | Bit_flip _ -> "bit-flip"
-  | Write_glitch _ -> "write-glitch"
-  | Mmio_glitch _ -> "mmio-glitch"
-  | Irq_storm _ -> "irq-storm"
-  | Task_kill _ -> "task-kill"
-  | Task_hang _ -> "task-hang"
-  | Burst_loss _ -> "burst-loss"
-  | Device_stall _ -> "device-stall"
-  | Late_reply _ -> "late-reply"
-  | Frame_truncate _ -> "frame-truncate"
-  | Counter_reset _ -> "counter-reset"
-  | Canary_crash _ -> "canary-crash"
-
 let describe = function
   | Bit_flip { addr; bit } ->
       Printf.sprintf "flip bit %d of byte 0x%05x" bit addr
@@ -111,16 +78,3 @@ let describe = function
       Printf.sprintf "%d spurious interrupts on line %d" count irq
   | Task_kill { name } -> Printf.sprintf "kill task %s" name
   | Task_hang { name } -> Printf.sprintf "hang task %s" name
-  | Burst_loss { name; duration } ->
-      Printf.sprintf "drop every frame on %s's link for %d slices" name duration
-  | Device_stall { name; duration } ->
-      Printf.sprintf "%s ignores all challenges for %d slices" name duration
-  | Late_reply { name; extra; duration } ->
-      Printf.sprintf "%s replies %d slices late for %d slices" name extra
-        duration
-  | Frame_truncate { name; count } ->
-      Printf.sprintf "next %d frames to %s arrive truncated" count name
-  | Counter_reset { name } ->
-      Printf.sprintf "attempt to reset %s's monotonic counter" name
-  | Canary_crash { name } ->
-      Printf.sprintf "%s crashes mid-swap during its next activation" name

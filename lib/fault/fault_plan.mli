@@ -6,14 +6,17 @@
     the same scenario yields the same trace — fault campaigns are
     reproducible bit for bit.
 
-    Faults span the three layers of the simulation:
+    A plan covers the two layers of the chip {!Injector} acts on:
 
     - {e machine}: RAM bit flips, glitched values on RAM writes,
       transient MMIO read garbage, spurious interrupt storms;
-    - {e tasks}: killing or wedging a task at a chosen tick;
-    - the {e network} layer's faults (corruption, duplication,
-      reordering, loss) live in {!Tytan_netsim.Link} and compose with a
-      plan through the co-simulation. *)
+    - {e tasks}: killing or wedging a task at a chosen tick.
+
+    Faults of other layers are named where they are applied: link
+    corruption, duplication, reordering and loss in
+    {!Tytan_netsim.Link}; the fleet engines' device faults in
+    [Tytan_serve.Gateway.fault], [Tytan_ota.Rollout.fault] and the
+    swarm.  They share only {!Prng}. *)
 
 open Tytan_machine
 
@@ -47,38 +50,6 @@ type kind =
   | Task_hang of { name : string }
       (** Suspend the task so it stops making progress — the stimulus a
           watchdog exists to catch. *)
-  | Burst_loss of { name : string; duration : int }
-      (** Correlated outage: the named device's link drops every frame
-          (both directions) for [duration] slices — the fade a verifier
-          gateway's retransmit budget must ride out.  Network-layer:
-          applied by {!Tytan_serve.Gateway} via
-          {!Tytan_netsim.Link.set_burst}; the machine-level injector
-          ignores it. *)
-  | Device_stall of { name : string; duration : int }
-      (** The named device stops answering challenges for [duration]
-          slices (wedged firmware, deep sleep) — frames still flow, the
-          prover just never replies.  Network-layer, gateway-applied. *)
-  | Late_reply of { name : string; extra : int; duration : int }
-      (** For [duration] slices the named device's replies leave [extra]
-          slices late — late enough to cross a session deadline and
-          arrive as a stale frame.  Network-layer, gateway-applied. *)
-  | Frame_truncate of { name : string; count : int }
-      (** The named device's next [count] inbound frames arrive cut
-          short (a corrupted radio burst).  The defensive protocol
-          decoder refuses them; the OTA sender's retransmission schedule
-          recovers.  Network-layer: applied by {!Tytan_ota.Rollout}; the
-          machine-level injector ignores it. *)
-  | Counter_reset of { name : string }
-      (** An attempt to wind the named device's monotonic counter back
-          (the downgrade attacker's first move).  The counter hardware
-          refuses and counts the attempt — the value never moves.
-          OTA-layer, rollout-applied. *)
-  | Canary_crash of { name : string }
-      (** The named device loses power mid-swap during its next
-          activation: the staged image is abandoned {e before} the
-          counter advances and the device goes silent for the wave —
-          the canary failure a staged rollout must turn into a
-          fleet-wide abort.  OTA-layer, rollout-applied. *)
 
 type event = {
   at_tick : int;
@@ -105,9 +76,6 @@ val random_bit_flips :
 (** [count] single-bit flips at PRNG-chosen addresses within
     [\[base, base+size)] and PRNG-chosen ticks within
     [\[first_tick, last_tick\]]. *)
-
-val kind_label : kind -> string
-(** Short stable label for counters and reports (["bit-flip"], …). *)
 
 val describe : kind -> string
 (** One-line human description for trace events. *)

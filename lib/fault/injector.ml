@@ -103,14 +103,6 @@ let apply t (ev : Fault_plan.event) =
           bump t "task-hang"
       | None ->
           Trace.emitf t.trace ~source:"inject" "hang target %s absent" name)
-  | Burst_loss _ | Device_stall _ | Late_reply _ | Frame_truncate _
-  | Counter_reset _ | Canary_crash _ ->
-      (* Network- and OTA-layer faults: the verifier gateway and the
-         rollout engine apply these to their links, provers and
-         installers; at machine level there is nothing to do. *)
-      Trace.emitf t.trace ~source:"inject"
-        "network fault (%s) handled at the gateway layer"
-        (Fault_plan.kind_label ev.kind)
 
 let apply_due t =
   let tick = Kernel.tick_count t.kernel in

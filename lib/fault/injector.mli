@@ -24,7 +24,9 @@ val advance : t -> cycles:int -> unit
 val run_ticks : t -> int -> unit
 
 val injected : t -> (string * int) list
-(** Applied faults per {!Fault_plan.kind_label}, sorted by label.
+(** Applied faults per kind (["bit-flip"], ["write-glitch"],
+    ["mmio-glitch"], ["irq-storm"], ["task-kill"], ["task-hang"]),
+    sorted by label.
     Write- and MMIO-glitches count {e actual} glitched accesses, not
     scheduled events. *)
 

@@ -20,6 +20,12 @@ let frame_totals links =
       (s + Link.sent_count l, d + Link.dropped_count l, v + Link.delivered_count l))
     (0, 0, 0) links
 
+type 'fault scheduled = {
+  at : int;
+  device : int;
+  fault : 'fault;
+}
+
 let answer ~clock ~ka ~loaded ?genesis msg =
   match msg with
   | Protocol.Challenge { seq; id; nonce } ->

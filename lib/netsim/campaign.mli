@@ -29,6 +29,16 @@ val link : seed:int -> salt:int -> faults:bool -> loss_percent:int -> int -> Lin
 val frame_totals : Link.t array -> int * int * int
 (** [(sent, dropped, delivered)] summed over [links]. *)
 
+type 'fault scheduled = {
+  at : int;  (** the epoch, slice or wave the fault falls due *)
+  device : int;  (** index of the faulted device, [0 .. devices-1] *)
+  fault : 'fault;
+}
+(** One entry of an engine's seeded fault schedule.  Each engine names
+    its own fault kinds (the swarm's tamper/kill/hang,
+    [Tytan_serve.Gateway.fault], [Tytan_ota.Rollout.fault]);
+    [Tytan_fault.Fault_plan] keeps only the machine and task kinds. *)
+
 (** {2 The light prover} *)
 
 val answer :

@@ -70,7 +70,7 @@ val last_refusal_cycles : t -> int
     MAC verify + counter read) — the rollback-refusal latency. *)
 
 val arm_crash : t -> unit
-(** Arm a {!Tytan_fault.Fault_plan.Canary_crash}: the next activation
+(** Arm a {!Rollout.Canary_crash}: the next activation
     dies inside the swap window — staged image abandoned, counter not
     advanced, device silent for the rest of the wave. *)
 
@@ -78,7 +78,7 @@ val crashed : t -> bool
 val clear_crash : t -> unit
 
 val attempt_counter_reset : t -> unit
-(** A {!Tytan_fault.Fault_plan.Counter_reset}: an MMIO write to the
+(** A {!Rollout.Counter_reset}: an MMIO write to the
     counter's value register.  The hardware refuses and counts it. *)
 
 val reset_attempts : t -> int

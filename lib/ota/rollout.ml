@@ -65,22 +65,24 @@ type report = {
 (* The OTA chaos schedule: truncated update frames (the decoder refuses,
    the sender's retransmissions recover), counter-reset attempts (the
    hardware refuses and counts), and canaries crashing mid-swap (the
-   gate failure a staged rollout must turn into an abort) — pinned to
-   waves via [at_tick], seeded like every other campaign. *)
+   gate failure a staged rollout must turn into an abort) — one per
+   wave, seeded like every other campaign. *)
+type fault =
+  | Frame_truncate of { count : int }
+  | Counter_reset
+  | Canary_crash
+
 let fault_events ~seed ~devices ~waves =
   let prng = Fault_plan.Prng.create (seed lxor 0x07A7) in
-  List.concat
-    (List.init waves (fun wave ->
-         let dev = Campaign.serial_of (Fault_plan.Prng.int prng devices) in
-         let kind =
-           match Fault_plan.Prng.int prng 5 with
-           | 0 | 1 ->
-               Fault_plan.Frame_truncate
-                 { name = dev; count = 1 + Fault_plan.Prng.int prng 2 }
-           | 2 | 3 -> Fault_plan.Counter_reset { name = dev }
-           | _ -> Fault_plan.Canary_crash { name = dev }
-         in
-         [ { Fault_plan.at_tick = wave; kind } ]))
+  List.init waves (fun at ->
+      let device = Fault_plan.Prng.int prng devices in
+      let fault =
+        match Fault_plan.Prng.int prng 5 with
+        | 0 | 1 -> Frame_truncate { count = 1 + Fault_plan.Prng.int prng 2 }
+        | 2 | 3 -> Counter_reset
+        | _ -> Canary_crash
+      in
+      { Campaign.at; device; fault })
 
 (* ---- devices ---------------------------------------------------------- *)
 
@@ -358,27 +360,14 @@ let run ~devices ~canary ~seed ?(faults = false) ?(loss_percent = 10) ?obs
          incumbent); quarantine decisions stand. *)
       Array.iter (fun d -> Installer.clear_crash d.installer) fleet;
       List.iter
-        (fun { Fault_plan.at_tick; kind } ->
-          if at_tick = wave_idx then
-            match kind with
-            | Fault_plan.Frame_truncate { name; count } ->
-                Array.iter
-                  (fun d ->
-                    if d.serial = name then
-                      d.truncate_left <- d.truncate_left + count)
-                  fleet
-            | Fault_plan.Counter_reset { name } ->
-                Array.iter
-                  (fun d ->
-                    if d.serial = name then
-                      Installer.attempt_counter_reset d.installer)
-                  fleet
-            | Fault_plan.Canary_crash { name } ->
-                Array.iter
-                  (fun d ->
-                    if d.serial = name then Installer.arm_crash d.installer)
-                  fleet
-            | _ -> ())
+        (fun { Campaign.at; device; fault } ->
+          if at = wave_idx then
+            let d = fleet.(device) in
+            match fault with
+            | Frame_truncate { count } ->
+                d.truncate_left <- d.truncate_left + count
+            | Counter_reset -> Installer.attempt_counter_reset d.installer
+            | Canary_crash -> Installer.arm_crash d.installer)
         plan;
       let payload = Telf.encode w.image in
       let size = Bytes.length payload in

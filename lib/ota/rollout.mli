@@ -83,7 +83,7 @@ type report = {
   frames_sent : int;
   frames_dropped : int;
   frames_delivered : int;
-  truncated_frames : int;  (** frames bitten by [Frame_truncate] faults *)
+  truncated_frames : int;  (** frames bitten by {!Frame_truncate} faults *)
   quarantined : string list;
   telemetry : (string * int) list;
       (** counter snapshot (offers, stages, verdict tallies, wave gate
@@ -123,10 +123,22 @@ val run :
     no cycles — an observed run is bit-identical to an unobserved
     one. *)
 
+type fault =
+  | Frame_truncate of { count : int }
+      (** the device's next [count] inbound frames arrive cut short; the
+          decoder refuses them and retransmission recovers *)
+  | Counter_reset
+      (** a downgrade attempt on the device's monotonic counter
+          ({!Installer.attempt_counter_reset}) *)
+  | Canary_crash
+      (** power loss mid-swap on the next activation
+          ({!Installer.arm_crash}) — the canary failure a staged rollout
+          must turn into a fleet-wide abort *)
+
 val fault_events :
-  seed:int -> devices:int -> waves:int -> Tytan_fault.Fault_plan.event list
-(** The deterministic OTA chaos schedule [?faults] arms (exposed for
-    tests and the CLI's plan rendering). *)
+  seed:int -> devices:int -> waves:int -> fault Tytan_netsim.Campaign.scheduled list
+(** The deterministic OTA chaos schedule [?faults] arms: one fault per
+    wave, [at] the wave index (exposed for tests). *)
 
 val body : report -> string
 val to_string : report -> string

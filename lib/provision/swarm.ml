@@ -29,7 +29,7 @@ type prover = {
   mutable ka : bytes;  (* re-derived on reboot (same value, real cost) *)
   mutable loaded : Task_id.t;
   mutable tampered : bool;
-  mutable silenced : bool;  (* permanent: Task_kill *)
+  mutable silenced : bool;  (* permanent: Kill *)
   mutable hung_epoch : int;  (* silent during this one epoch; -1 = none *)
 }
 
@@ -76,27 +76,26 @@ type report = {
 
 (* The device-fault schedule: image tampers (a flipped firmware bit —
    the device then honestly refuses the reference identity), permanent
-   kills and one-epoch hangs, pinned to epochs via [at_tick].  Built
-   through [Fault_plan] so campaigns share the chaos subsystem's
-   seed-to-plan determinism. *)
+   kills and one-epoch hangs, pinned to epochs.  Drawn from the chaos
+   subsystem's [Fault_plan.Prng] so campaigns share its seed-to-plan
+   determinism; applied per epoch in generation order. *)
+type fault =
+  | Tamper of { bit : int }
+  | Kill
+  | Hang
+
 let fault_events ~seed ~devices ~epochs =
   let prng = Fault_plan.Prng.create (seed lxor 0x5EED) in
-  let count = max 1 (devices / 6) in
-  let events =
-    List.init count (fun _ ->
-        let epoch = Fault_plan.Prng.int prng epochs in
-        let dev = Fault_plan.Prng.int prng devices in
-        let kind =
-          match Fault_plan.Prng.int prng 3 with
-          | 0 ->
-              Fault_plan.Bit_flip
-                { addr = dev; bit = Fault_plan.Prng.int prng 8 }
-          | 1 -> Fault_plan.Task_kill { name = Campaign.serial_of dev }
-          | _ -> Fault_plan.Task_hang { name = Campaign.serial_of dev }
-        in
-        { Fault_plan.at_tick = epoch; kind })
-  in
-  (Fault_plan.make ~seed events).Fault_plan.events
+  List.init (max 1 (devices / 6)) (fun _ ->
+      let at = Fault_plan.Prng.int prng epochs in
+      let device = Fault_plan.Prng.int prng devices in
+      let fault =
+        match Fault_plan.Prng.int prng 3 with
+        | 0 -> Tamper { bit = Fault_plan.Prng.int prng 8 }
+        | 1 -> Kill
+        | _ -> Hang
+      in
+      { Campaign.at; device; fault })
 
 (* Reboot churn: per epoch, [churn_permille]/1000 of the fleet power-
    cycles.  A reboot re-derives the device's boot keys (real device
@@ -234,33 +233,21 @@ let run ~mode ~devices ~epochs ~seed ?(faults = false) ?(loss_percent = 10)
   | _ -> ());
   let apply_faults epoch =
     List.iter
-      (fun { Fault_plan.at_tick; kind } ->
-        if at_tick = epoch then
-          match kind with
-          | Fault_plan.Bit_flip { addr; bit } ->
-              let p = provers.(addr mod devices) in
+      (fun { Campaign.at; device; fault } ->
+        if at = epoch then
+          let p = provers.(device) in
+          match fault with
+          | Tamper { bit } ->
               if not p.tampered then begin
                 let copy = Bytes.copy image in
-                let pos = (addr * 7) mod Bytes.length copy in
+                let pos = (device * 7) mod Bytes.length copy in
                 Bytes.set copy pos
                   (Char.chr (Char.code (Bytes.get copy pos) lxor (1 lsl bit)));
                 p.loaded <- Task_id.of_image copy;
                 p.tampered <- true
               end
-          | Fault_plan.Task_kill { name } ->
-              Array.iter
-                (fun p -> if p.serial = name then p.silenced <- true)
-                provers
-          | Fault_plan.Task_hang { name } ->
-              Array.iter
-                (fun p -> if p.serial = name then p.hung_epoch <- epoch)
-                provers
-          | Fault_plan.Write_glitch _ | Fault_plan.Mmio_glitch _
-          | Fault_plan.Irq_storm _ | Fault_plan.Burst_loss _
-          | Fault_plan.Device_stall _ | Fault_plan.Late_reply _
-          | Fault_plan.Frame_truncate _ | Fault_plan.Counter_reset _
-          | Fault_plan.Canary_crash _ ->
-              ())
+          | Kill -> p.silenced <- true
+          | Hang -> p.hung_epoch <- epoch)
       plan
   in
   let silent (p : prover) ~epoch = p.silenced || p.hung_epoch = epoch in

@@ -58,7 +58,8 @@
     (identical in every mode; a reboot re-derives device keys and, in
     incremental mode, forces a re-challenge).
 
-    With [~faults] a {!Tytan_fault.Fault_plan}-derived schedule tampers
+    With [~faults] a seeded schedule of {!Tytan_netsim.Campaign.scheduled}
+    entries (a device index and an epoch each) tampers
     firmware images (the device then honestly refuses), kills devices
     outright, or hangs them for one epoch, and the links additionally
     corrupt, duplicate and reorder frames.  Everything is seeded:

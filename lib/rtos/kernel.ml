@@ -144,14 +144,7 @@ let reblock_current t (tcb : Tcb.t) f =
 
 let wake_one t (tcb : Tcb.t) =
   (match tcb.state with
-  | Tcb.Blocked (Tcb.Queue_send_wait qid) -> (
-      match Hashtbl.find_opt t.queues qid with
-      | Some q ->
-          Rt_queue.drop_waiter q tcb;
-          tcb.timeout_hit <- true;
-          set_frame_reg t tcb ~reg:1 ~value:1
-      | None -> ())
-  | Tcb.Blocked (Tcb.Queue_recv_wait qid) -> (
+  | Tcb.Blocked (Tcb.Queue_send_wait qid | Tcb.Queue_recv_wait qid) -> (
       match Hashtbl.find_opt t.queues qid with
       | Some q ->
           Rt_queue.drop_waiter q tcb;
@@ -245,29 +238,37 @@ let wake_tick_for t ~timeout =
   if timeout = no_timeout then max_int
   else Scheduler.tick_count t.sched + max 1 timeout
 
+(* Complete a blocked queue operation of [waiter] with [value]. *)
+let resume_waiter t (waiter : Tcb.t) ~value =
+  Scheduler.remove t.sched waiter;
+  queue_reply t waiter ~value ~status:0;
+  Scheduler.add_ready t.sched waiter
+
+(* Hand [value] straight to a receiver blocked on [q], if one waits. *)
+let hand_to_receiver t q ~value =
+  match Rt_queue.take_recv_waiter q with
+  | Some receiver ->
+      resume_waiter t receiver ~value;
+      true
+  | None -> false
+
 let sys_queue_send t (tcb : Tcb.t) ~gprs =
   let qid = gprs.(0) and value = gprs.(1) and timeout = gprs.(2) in
   match Hashtbl.find_opt t.queues qid with
   | None -> queue_reply t tcb ~value:0 ~status:2
-  | Some q -> (
-      match Rt_queue.take_recv_waiter q with
-      | Some receiver ->
-          Scheduler.remove t.sched receiver;
-          queue_reply t receiver ~value ~status:0;
-          Scheduler.add_ready t.sched receiver;
-          queue_reply t tcb ~value ~status:0
-      | None ->
-          if not (Rt_queue.is_full q) then begin
-            Rt_queue.push q value;
-            queue_reply t tcb ~value ~status:0
-          end
-          else if timeout = 0 then queue_reply t tcb ~value ~status:1
-          else
-            reblock_current t tcb (fun () ->
-                Rt_queue.add_send_waiter q tcb ~value;
-                Scheduler.sleep_on t.sched tcb
-                  ~wake_tick:(wake_tick_for t ~timeout)
-                  ~reason:(Tcb.Queue_send_wait qid)))
+  | Some q ->
+      if hand_to_receiver t q ~value then queue_reply t tcb ~value ~status:0
+      else if not (Rt_queue.is_full q) then begin
+        Rt_queue.push q value;
+        queue_reply t tcb ~value ~status:0
+      end
+      else if timeout = 0 then queue_reply t tcb ~value ~status:1
+      else
+        reblock_current t tcb (fun () ->
+            Rt_queue.add_send_waiter q tcb ~value;
+            Scheduler.sleep_on t.sched tcb
+              ~wake_tick:(wake_tick_for t ~timeout)
+              ~reason:(Tcb.Queue_send_wait qid))
 
 let sys_queue_recv t (tcb : Tcb.t) ~gprs =
   let qid = gprs.(0) and timeout = gprs.(2) in
@@ -281,9 +282,7 @@ let sys_queue_recv t (tcb : Tcb.t) ~gprs =
         match Rt_queue.take_send_waiter q with
         | Some (sender, pending) ->
             Rt_queue.push q pending;
-            Scheduler.remove t.sched sender;
-            queue_reply t sender ~value:pending ~status:0;
-            Scheduler.add_ready t.sched sender
+            resume_waiter t sender ~value:pending
         | None -> ()
       end
       else if timeout = 0 then queue_reply t tcb ~value:0 ~status:1
@@ -300,19 +299,13 @@ let sys_queue_recv t (tcb : Tcb.t) ~gprs =
 let queue_post t ~queue_id ~value =
   match Hashtbl.find_opt t.queues queue_id with
   | None -> false
-  | Some q -> (
-      match Rt_queue.take_recv_waiter q with
-      | Some receiver ->
-          Scheduler.remove t.sched receiver;
-          queue_reply t receiver ~value ~status:0;
-          Scheduler.add_ready t.sched receiver;
-          true
-      | None ->
-          if Rt_queue.is_full q then false
-          else begin
-            Rt_queue.push q value;
-            true
-          end)
+  | Some q ->
+      if hand_to_receiver t q ~value then true
+      else if Rt_queue.is_full q then false
+      else begin
+        Rt_queue.push q value;
+        true
+      end
 
 (* --- Task lifecycle ----------------------------------------------------- *)
 

@@ -51,14 +51,18 @@ type session_kind =
   | Batched
   | Cfa
 
-(* What the settle sweep records; Gave_up and a crossed deadline both
-   land in [Timed_out] — from the service's point of view the session
-   consumed its budget without an answer either way. *)
-type verdict =
-  | V_attested
-  | V_refused
-  | V_timed_out
-  | V_cfa_rejected
+type fault =
+  | Burst_loss of { duration : int }
+  | Device_stall of { duration : int }
+  | Late_reply of {
+      extra : int;
+      duration : int;
+    }
+
+let fault_label = function
+  | Burst_loss _ -> "burst-loss"
+  | Device_stall _ -> "device-stall"
+  | Late_reply _ -> "late-reply"
 
 (* Same lightweight prover as [Swarm]: the protocol can only observe a
    device's uplink, key and loaded identity, so that is all we model —
@@ -104,7 +108,6 @@ type t = {
   fw_id : Task_id.t;
   genesis : bytes Lazy.t;  (* empty CFA log head for fw_id, forced at create *)
   provers : prover array;
-  index_of : (string, int) Hashtbl.t;  (* serial -> prover index *)
   store : (string, dev_state) Hashtbl.t;
   by_seq : (string * int, session) Hashtbl.t;  (* live-session demux *)
   clock : Cycles.t;  (* verifier side *)
@@ -118,7 +121,7 @@ type t = {
   mutable inflight : session list;
   mutable inflight_n : int;
   mutable now : int;
-  mutable fault_queue : Fault_plan.event list;
+  mutable fault_queue : fault Campaign.scheduled list;  (* sorted by [at] *)
   mutable arrivals : int;
   mutable admitted : int;
   mutable max_queue_depth : int;
@@ -139,29 +142,22 @@ let network_faults ~seed ~devices ~horizon =
   let prng = Fault_plan.Prng.create (seed lxor 0x6A7E) in
   let count = max 2 (devices / 4) in
   let span = max 1 (horizon * 3 / 4) in
-  let events =
-    List.init count (fun _ ->
-        let at = Fault_plan.Prng.int prng span in
-        let name = Campaign.serial_of (Fault_plan.Prng.int prng devices) in
-        let kind =
-          match Fault_plan.Prng.int prng 3 with
-          | 0 ->
-              Fault_plan.Burst_loss
-                { name; duration = 6 + Fault_plan.Prng.int prng 20 }
-          | 1 ->
-              Fault_plan.Device_stall
-                { name; duration = 8 + Fault_plan.Prng.int prng 24 }
-          | _ ->
-              Fault_plan.Late_reply
-                {
-                  name;
-                  extra = 4 + Fault_plan.Prng.int prng 10;
-                  duration = 8 + Fault_plan.Prng.int prng 16;
-                }
-        in
-        { Fault_plan.at_tick = at; kind })
-  in
-  (Fault_plan.make ~seed events).Fault_plan.events
+  List.init count (fun _ ->
+      let at = Fault_plan.Prng.int prng span in
+      let device = Fault_plan.Prng.int prng devices in
+      let fault =
+        match Fault_plan.Prng.int prng 3 with
+        | 0 -> Burst_loss { duration = 6 + Fault_plan.Prng.int prng 20 }
+        | 1 -> Device_stall { duration = 8 + Fault_plan.Prng.int prng 24 }
+        | _ ->
+            Late_reply
+              {
+                extra = 4 + Fault_plan.Prng.int prng 10;
+                duration = 8 + Fault_plan.Prng.int prng 16;
+              }
+      in
+      { Campaign.at; device; fault })
+  |> List.stable_sort (fun (a : _ Campaign.scheduled) b -> compare a.at b.at)
 
 let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
     ?(loss_percent = 10) ?obs ~devices ~seed () =
@@ -175,14 +171,12 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
   let clock = Cycles.create () in
   let device_clock = Cycles.create () in
   let telemetry = Campaign.telemetry clock in
-  let index_of = Hashtbl.create (devices * 2) in
   let genesis =
     Cost_model.charged device_clock (fun () -> Attestation.cf_genesis ~id:fw_id)
   in
   let provers =
     Array.init devices (fun i ->
         let serial = Campaign.serial_of i in
-        Hashtbl.replace index_of serial i;
         let link = Campaign.link ~seed ~salt:31 ~faults ~loss_percent i in
         let platform_key = Registry.platform_key registry ~serial in
         let ka =
@@ -223,7 +217,6 @@ let create ?(config = default_config) ?(faults = false) ?(fault_horizon = 256)
     fw_id;
     genesis = Lazy.from_val genesis;
     provers;
-    index_of;
     store = Hashtbl.create (config.store_capacity * 2);
     by_seq = Hashtbl.create 1024;
     clock;
@@ -257,11 +250,14 @@ let kind_label = function
   | Batched -> "batched"
   | Cfa -> "cfa"
 
+(* A crossed deadline settles as [Gave_up] too: either way the session
+   consumed its budget without an answer, so both read "timed-out". *)
 let verdict_label = function
-  | V_attested -> "attested"
-  | V_refused -> "refused"
-  | V_timed_out -> "timed-out"
-  | V_cfa_rejected -> "cfa-rejected"
+  | Verifier.Attested -> "attested"
+  | Verifier.Refused -> "refused"
+  | Verifier.Gave_up -> "timed-out"
+  | Verifier.Cfa_rejected -> "cfa-rejected"
+  | Verifier.Pending -> "pending"
 
 let frame_kind = function
   | Protocol.Challenge _ -> "challenge"
@@ -303,29 +299,19 @@ let unknown_frames t = count t "unknown_frames"
 
 let apply_due_faults t =
   let at = t.now in
-  (* Apply [f] to the named prover and count the fault, if it exists. *)
-  let hit name label f =
-    match Hashtbl.find_opt t.index_of name with
-    | Some i ->
-        f t.provers.(i);
-        Telemetry.incr t.telemetry ~component:"fault" label
-    | None -> ()
-  in
   let rec go () =
     match t.fault_queue with
-    | ev :: rest when ev.Fault_plan.at_tick <= at ->
+    | ev :: rest when ev.Campaign.at <= at ->
         t.fault_queue <- rest;
-        (match ev.Fault_plan.kind with
-        | Fault_plan.Burst_loss { name; duration } ->
-            hit name "burst-loss" (fun p -> Link.set_burst p.link ~until:(at + duration))
-        | Fault_plan.Device_stall { name; duration } ->
-            hit name "device-stall" (fun p ->
-                p.stall_until <- max p.stall_until (at + duration))
-        | Fault_plan.Late_reply { name; extra; duration } ->
-            hit name "late-reply" (fun p ->
-                p.late_until <- max p.late_until (at + duration);
-                p.late_extra <- extra)
-        | _ -> ());
+        let p = t.provers.(ev.device) in
+        (match ev.fault with
+        | Burst_loss { duration } -> Link.set_burst p.link ~until:(at + duration)
+        | Device_stall { duration } ->
+            p.stall_until <- max p.stall_until (at + duration)
+        | Late_reply { extra; duration } ->
+            p.late_until <- max p.late_until (at + duration);
+            p.late_extra <- extra);
+        Telemetry.incr t.telemetry ~component:"fault" (fault_label ev.fault);
         go ()
     | _ -> ()
   in
@@ -462,13 +448,6 @@ let arrive t ~device =
     end
   end
 
-let verdict_of = function
-  | Verifier.Attested -> V_attested
-  | Verifier.Refused -> V_refused
-  | Verifier.Gave_up -> V_timed_out
-  | Verifier.Cfa_rejected -> V_cfa_rejected
-  | Verifier.Pending -> assert false
-
 let settle t (s : session) ~verdict =
   Hashtbl.remove t.by_seq (s.s_serial, Verifier.seq s.verifier);
   let latency = t.now - s.admitted_at in
@@ -480,22 +459,17 @@ let settle t (s : session) ~verdict =
      after its session concludes, then asks again. *)
   if Array.length t.closed_next > 0 then
     t.closed_next.(s.s_device) <- t.now + t.closed_think;
-  tally t
-    (match verdict with
-    | V_attested -> "attested"
-    | V_refused -> "refused"
-    | V_timed_out -> "timed_out"
-    | V_cfa_rejected -> "cfa_rejected");
+  tally t (String.map (function '-' -> '_' | c -> c) (verdict_label verdict));
   match Hashtbl.find_opt t.store s.s_serial with
   | None -> ()  (* evicted mid-session; the breaker state went with it *)
   | Some st ->
       let mac_suspect =
-        Verifier.rejected_frames s.verifier > 0 && verdict <> V_attested
+        Verifier.rejected_frames s.verifier > 0 && verdict <> Verifier.Attested
       in
       let failed =
-        verdict = V_timed_out || verdict = V_cfa_rejected || mac_suspect
+        verdict = Verifier.Gave_up || verdict = Verifier.Cfa_rejected || mac_suspect
       in
-      if verdict = V_attested then st.streak <- 0
+      if verdict = Verifier.Attested then st.streak <- 0
       else if failed then begin
         st.streak <- st.streak + 1;
         if st.streak >= breaker_threshold then begin
@@ -603,7 +577,7 @@ let step t =
       if
         Verifier.outcome s.verifier = Verifier.Pending
         && at - s.started_at >= t.cfg.deadline_slices
-      then settle t s ~verdict:V_timed_out
+      then settle t s ~verdict:Verifier.Gave_up
       else begin
         (match Verifier.poll s.verifier ~at with
         | Some frame ->
@@ -619,7 +593,7 @@ let step t =
         | None -> ());
         match Verifier.outcome s.verifier with
         | Verifier.Pending -> still := s :: !still
-        | outcome -> settle t s ~verdict:(verdict_of outcome)
+        | verdict -> settle t s ~verdict
       end)
     t.inflight;
   t.inflight <- List.rev !still;
@@ -798,9 +772,9 @@ let run ?(config = default_config) ?(faults = false) ?(loss_percent = 10)
   done;
   (* Backstop only: anything past the cap is forced to a conclusion so
      [settled = admitted] is an invariant of every report. *)
-  Queue.iter (fun s -> settle t s ~verdict:V_timed_out) t.pending_q;
+  Queue.iter (fun s -> settle t s ~verdict:Verifier.Gave_up) t.pending_q;
   Queue.clear t.pending_q;
-  List.iter (fun s -> settle t s ~verdict:V_timed_out) t.inflight;
+  List.iter (fun s -> settle t s ~verdict:Verifier.Gave_up) t.inflight;
   t.inflight <- [];
   t.inflight_n <- 0;
   Aggregator.flush t.aggregator;

@@ -33,9 +33,8 @@
     The gateway is a discrete-event simulation over slices, seeded end
     to end: the same [(devices, slices, arrival rate, seed, faults)]
     tuple reproduces verdict counts, latency percentiles and shed
-    counters bit for bit.  {!Tytan_fault.Fault_plan} supplies the
-    network-layer chaos vocabulary ([Burst_loss], [Device_stall],
-    [Late_reply]); this module applies it.  See DESIGN.md §14. *)
+    counters bit for bit.  The network-layer chaos vocabulary is this
+    module's own {!fault}.  See DESIGN.md §14. *)
 
 type config = {
   max_pending : int;  (** pending-queue bound; beyond it arrivals shed *)
@@ -84,8 +83,7 @@ val create :
   t
 (** A gateway over [devices] provisioned provers on seeded lossy links
     (default 10% loss; with [~faults] the links also corrupt, duplicate
-    and reorder, and a seeded {!Tytan_fault.Fault_plan} schedule of
-    burst-loss, device-stall and late-reply events over the first
+    and reorder, and a seeded {!network_faults} schedule over the first
     [fault_horizon] slices is applied as it falls due).
 
     With [?obs] every admission, shed, frame, verdict, breaker trip and
@@ -125,10 +123,25 @@ val stale_frames : t -> int
 (** Well-formed frames whose sequence matches no live session — late
     replies that crossed a deadline. *)
 
+type fault =
+  | Burst_loss of { duration : int }
+      (** the device's link drops every frame, both directions, for
+          [duration] slices ({!Tytan_netsim.Link.set_burst}) *)
+  | Device_stall of { duration : int }
+      (** for [duration] slices the prover drains its inbox but answers
+          nothing (wedged firmware, deep sleep) *)
+  | Late_reply of {
+      extra : int;
+      duration : int;
+    }
+      (** for [duration] slices replies leave [extra] slices late — late
+          enough to cross a deadline and arrive stale *)
+
 val network_faults :
-  seed:int -> devices:int -> horizon:int -> Tytan_fault.Fault_plan.event list
-(** The seeded gateway-layer fault schedule [create ~faults:true] uses —
-    exposed so tests can pin its determinism. *)
+  seed:int -> devices:int -> horizon:int -> fault Tytan_netsim.Campaign.scheduled list
+(** The seeded gateway-layer fault schedule [create ~faults:true] uses,
+    stably sorted by slice — exposed so tests can pin its
+    determinism. *)
 
 type arrival_mode =
   | Open_loop

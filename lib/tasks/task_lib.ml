@@ -28,6 +28,30 @@ let delay_one_tick p =
   Assembler.instr p (Isa.Movi (0, 1));
   Assembler.instr p (Isa.Swi 2)
 
+(* Park for good: sleep 100 ticks at a time. *)
+let rest p =
+  Assembler.label p "rest";
+  Assembler.instr p (Isa.Movi (0, 100));
+  Assembler.instr p (Isa.Swi 2);
+  Assembler.jmp_label p "rest"
+
+(* Open the data section with one zero-initialised word per name. *)
+let zero_cells p names =
+  Assembler.begin_data p;
+  List.iter
+    (fun name ->
+      Assembler.label p name;
+      Assembler.word p 0)
+    names
+
+(* Send the message in r0..r7 to [receiver] in IPC [mode]. *)
+let send p ~receiver ~mode =
+  let lo, hi = Task_id.to_words receiver in
+  Assembler.instr p (Isa.Movi (8, lo));
+  Assembler.instr p (Isa.Movi (9, hi));
+  Assembler.instr p (Isa.Movi (10, mode));
+  Assembler.instr p (Isa.Swi Ipc.swi_send)
+
 let counter ?(secure = true) ?(stack_size = 512) () =
   build ~secure ~stack_size (fun p ->
       Assembler.label p "main";
@@ -35,9 +59,7 @@ let counter ?(secure = true) ?(stack_size = 512) () =
       increment_cell p ~addr_reg:4 ~scratch:5 "counter";
       delay_one_tick p;
       Assembler.jmp_label p "loop";
-      Assembler.begin_data p;
-      Assembler.label p "counter";
-      Assembler.word p 0)
+      zero_cells p [ "counter" ])
 
 let sensor_poller ?(secure = true) ~sensor_addr ?(period_ticks = 1) () =
   build ~secure (fun p ->
@@ -51,11 +73,7 @@ let sensor_poller ?(secure = true) ~sensor_addr ?(period_ticks = 1) () =
       Assembler.instr p (Isa.Movi (0, period_ticks));
       Assembler.instr p (Isa.Swi 2);
       Assembler.jmp_label p "loop";
-      Assembler.begin_data p;
-      Assembler.label p "samples";
-      Assembler.word p 0;
-      Assembler.label p "latest";
-      Assembler.word p 0)
+      zero_cells p [ "samples"; "latest" ])
 
 (* t0 of the use case: merge sensor reports from the inbox, drive the
    actuator, hold the 1.5 kHz period. *)
@@ -94,17 +112,10 @@ let cruise_controller ~actuator_addr =
       increment_cell p ~addr_reg:4 ~scratch:5 "iterations";
       delay_one_tick p;
       Assembler.jmp_label p "loop";
-      Assembler.begin_data p;
-      Assembler.label p "iterations";
-      Assembler.word p 0;
-      Assembler.label p "pedal";
-      Assembler.word p 0;
-      Assembler.label p "radar";
-      Assembler.word p 0)
+      zero_cells p [ "iterations"; "pedal"; "radar" ])
 
 let sensor_feeder ?(secure = true) ~sensor_addr ~controller ~tag
     ?(period_ticks = 1) ?(pad_instructions = 0) () =
-  let lo, hi = Task_id.to_words controller in
   build ~secure ~manifest:(peer_manifest controller) (fun p ->
       let open Isa in
       Assembler.label p "main";
@@ -118,25 +129,17 @@ let sensor_feeder ?(secure = true) ~sensor_addr ~controller ~tag
       Assembler.movi_label p ~rd:4 "latest";
       Assembler.instr p (Ldw (0, 4, 0));
       Assembler.instr p (Movi (1, tag)); (* m1 = source tag *)
-      Assembler.instr p (Movi (8, lo));
-      Assembler.instr p (Movi (9, hi));
-      Assembler.instr p (Movi (10, Ipc.mode_async));
-      Assembler.instr p (Swi Ipc.swi_send);
+      send p ~receiver:controller ~mode:Ipc.mode_async;
       Assembler.instr p (Movi (0, period_ticks));
       Assembler.instr p (Swi 2);
       Assembler.jmp_label p "loop";
       for _ = 1 to pad_instructions do
         Assembler.instr p Nop
       done;
-      Assembler.begin_data p;
-      Assembler.label p "samples";
-      Assembler.word p 0;
-      Assembler.label p "latest";
-      Assembler.word p 0)
+      zero_cells p [ "samples"; "latest" ])
 
 let ipc_sender ?(secure = true) ~receiver ?(message0 = 42) ?(sync = true)
     ?(repeat = false) () =
-  let lo, hi = Task_id.to_words receiver in
   build ~secure ~manifest:(peer_manifest receiver) (fun p ->
       let open Isa in
       Assembler.label p "main";
@@ -145,22 +148,11 @@ let ipc_sender ?(secure = true) ~receiver ?(message0 = 42) ?(sync = true)
       for i = 1 to 7 do
         Assembler.instr p (Movi (i, i))
       done;
-      Assembler.instr p (Movi (8, lo));
-      Assembler.instr p (Movi (9, hi));
-      Assembler.instr p (Movi (10, if sync then Ipc.mode_sync else Ipc.mode_async));
-      Assembler.instr p (Swi Ipc.swi_send);
+      send p ~receiver ~mode:(if sync then Ipc.mode_sync else Ipc.mode_async);
       increment_cell p ~addr_reg:4 ~scratch:5 "sent";
       delay_one_tick p;
-      if repeat then Assembler.jmp_label p "send"
-      else begin
-        Assembler.label p "rest";
-        Assembler.instr p (Movi (0, 100));
-        Assembler.instr p (Swi 2);
-        Assembler.jmp_label p "rest"
-      end;
-      Assembler.begin_data p;
-      Assembler.label p "sent";
-      Assembler.word p 0)
+      if repeat then Assembler.jmp_label p "send" else rest p;
+      zero_cells p [ "sent" ])
 
 let ipc_receiver ?(secure = true) () =
   build ~secure
@@ -186,16 +178,9 @@ let ipc_receiver ?(secure = true) () =
       Assembler.instr p (Isa.Movi (0, 10));
       Assembler.instr p (Isa.Swi 2);
       Assembler.jmp_label p "loop";
-      Assembler.begin_data p;
-      Assembler.label p "received";
-      Assembler.word p 0;
-      Assembler.label p "sum";
-      Assembler.word p 0;
-      Assembler.label p "last_sender";
-      Assembler.word p 0)
+      zero_cells p [ "received"; "sum"; "last_sender" ])
 
 let storage_client ~storage ~slot ~value =
-  let lo, hi = Task_id.to_words storage in
   build ~secure:true ~manifest:(peer_manifest storage) (fun p ->
       let open Isa in
       Assembler.label p "main";
@@ -206,10 +191,7 @@ let storage_client ~storage ~slot ~value =
       for i = 3 to 7 do
         Assembler.instr p (Movi (i, 0))
       done;
-      Assembler.instr p (Movi (8, lo));
-      Assembler.instr p (Movi (9, hi));
-      Assembler.instr p (Movi (10, Ipc.mode_sync));
-      Assembler.instr p (Swi Ipc.swi_send);
+      send p ~receiver:storage ~mode:Ipc.mode_sync;
       Assembler.movi_label p ~rd:4 "phase";
       Assembler.instr p (Movi (5, 1));
       Assembler.instr p (Stw (4, 0, 5));
@@ -220,10 +202,7 @@ let storage_client ~storage ~slot ~value =
       for i = 2 to 7 do
         Assembler.instr p (Movi (i, 0))
       done;
-      Assembler.instr p (Movi (8, lo));
-      Assembler.instr p (Movi (9, hi));
-      Assembler.instr p (Movi (10, Ipc.mode_sync));
-      Assembler.instr p (Swi Ipc.swi_send);
+      send p ~receiver:storage ~mode:Ipc.mode_sync;
       (* reply message: m0 = status, m1 = first payload word *)
       Assembler.instr p (Ldw (0, 12, 16));
       Assembler.movi_label p ~rd:4 "status";
@@ -234,17 +213,8 @@ let storage_client ~storage ~slot ~value =
       Assembler.movi_label p ~rd:4 "phase";
       Assembler.instr p (Movi (5, 2));
       Assembler.instr p (Stw (4, 0, 5));
-      Assembler.label p "rest";
-      Assembler.instr p (Movi (0, 100));
-      Assembler.instr p (Swi 2);
-      Assembler.jmp_label p "rest";
-      Assembler.begin_data p;
-      Assembler.label p "phase";
-      Assembler.word p 0;
-      Assembler.label p "readback";
-      Assembler.word p 0;
-      Assembler.label p "status";
-      Assembler.word p 0)
+      rest p;
+      zero_cells p [ "phase"; "readback"; "status" ])
 
 let spy ~victim_addr =
   build ~secure:false (fun p ->
@@ -255,15 +225,8 @@ let spy ~victim_addr =
       Assembler.movi_label p ~rd:4 "loot";
       Assembler.instr p (Stw (4, 0, 7));
       increment_cell p ~addr_reg:4 ~scratch:5 "survived";
-      Assembler.label p "rest";
-      Assembler.instr p (Movi (0, 100));
-      Assembler.instr p (Swi 2);
-      Assembler.jmp_label p "rest";
-      Assembler.begin_data p;
-      Assembler.label p "loot";
-      Assembler.word p 0;
-      Assembler.label p "survived";
-      Assembler.word p 0)
+      rest p;
+      zero_cells p [ "loot"; "survived" ])
 
 let entry_bypass ~victim_entry ~offset =
   build ~secure:false (fun p ->
@@ -271,9 +234,7 @@ let entry_bypass ~victim_entry ~offset =
       Assembler.label p "main";
       Assembler.instr p (Movi (6, Word.add victim_entry offset));
       Assembler.instr p (Jmpr 6); (* entry-point violation on TyTAN *)
-      Assembler.begin_data p;
-      Assembler.label p "pad";
-      Assembler.word p 0)
+      zero_cells p [ "pad" ])
 
 let idt_attacker ~idt_addr =
   build ~secure:false (fun p ->
@@ -283,13 +244,8 @@ let idt_attacker ~idt_addr =
       Assembler.instr p (Movi (7, 0xDEAD));
       Assembler.instr p (Stw (6, 0, 7)); (* faults on TyTAN *)
       increment_cell p ~addr_reg:4 ~scratch:5 "survived";
-      Assembler.label p "rest";
-      Assembler.instr p (Movi (0, 100));
-      Assembler.instr p (Swi 2);
-      Assembler.jmp_label p "rest";
-      Assembler.begin_data p;
-      Assembler.label p "survived";
-      Assembler.word p 0)
+      rest p;
+      zero_cells p [ "survived" ])
 
 (* The flow-vetting demonstration exploit.  Every access lands in the
    MMIO window, control flow is clean, stack and WCET are bounded — the
@@ -301,7 +257,6 @@ let idt_attacker ~idt_addr =
    ships a manifest naming only the decoy, so the send also leaves its
    declared topology; without, it declares no topology at all. *)
 let key_leaker ?decoy ~receiver ?(key_addr = 0xF000_2000) () =
-  let lo, hi = Task_id.to_words receiver in
   build ~secure:true
     ?manifest:(Option.map peer_manifest decoy)
     (fun p ->
@@ -312,18 +267,10 @@ let key_leaker ?decoy ~receiver ?(key_addr = 0xF000_2000) () =
       for i = 1 to 7 do
         Assembler.instr p (Movi (i, 0))
       done;
-      Assembler.instr p (Movi (8, lo));
-      Assembler.instr p (Movi (9, hi));
-      Assembler.instr p (Movi (10, Ipc.mode_async));
-      Assembler.instr p (Swi Ipc.swi_send);
+      send p ~receiver ~mode:Ipc.mode_async;
       increment_cell p ~addr_reg:4 ~scratch:5 "sent";
-      Assembler.label p "rest";
-      Assembler.instr p (Movi (0, 100));
-      Assembler.instr p (Swi 2);
-      Assembler.jmp_label p "rest";
-      Assembler.begin_data p;
-      Assembler.label p "sent";
-      Assembler.word p 0)
+      rest p;
+      zero_cells p [ "sent" ])
 
 type dispatcher = {
   telf : Telf.t;
@@ -395,10 +342,7 @@ let shm_requester ~peer ~value =
       Assembler.movi_label p ~rd:4 "done";
       Assembler.instr p (Movi (5, 1));
       Assembler.instr p (Stw (4, 0, 5));
-      Assembler.label p "rest";
-      Assembler.instr p (Movi (0, 100));
-      Assembler.instr p (Swi 2);
-      Assembler.jmp_label p "rest";
+      rest p;
       Assembler.begin_data p;
       Assembler.label p "status";
       Assembler.word p 99;
@@ -426,13 +370,8 @@ let shm_reader () =
       Assembler.label p "publish";
       Assembler.movi_label p ~rd:4 "seen";
       Assembler.instr p (Stw (4, 0, 3));
-      Assembler.label p "rest";
-      Assembler.instr p (Movi (0, 100));
-      Assembler.instr p (Swi 2);
-      Assembler.jmp_label p "rest";
-      Assembler.begin_data p;
-      Assembler.label p "seen";
-      Assembler.word p 0)
+      rest p;
+      zero_cells p [ "seen" ])
 
 let busy_loop ?(secure = true) ?(work = 0) () =
   build ~secure (fun p ->
@@ -443,9 +382,7 @@ let busy_loop ?(secure = true) ?(work = 0) () =
         Assembler.instr p Isa.Nop
       done;
       Assembler.jmp_label p "loop";
-      Assembler.begin_data p;
-      Assembler.label p "pad";
-      Assembler.word p 0)
+      zero_cells p [ "pad" ])
 
 let yielder ?(secure = true) ?(count = 5) () =
   build ~secure (fun p ->
@@ -461,6 +398,4 @@ let yielder ?(secure = true) ?(count = 5) () =
       Assembler.jmp_label p "loop";
       Assembler.label p "finish";
       Assembler.instr p (Swi 1);
-      Assembler.begin_data p;
-      Assembler.label p "iterations";
-      Assembler.word p 0)
+      zero_cells p [ "iterations" ])

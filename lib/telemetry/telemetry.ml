@@ -156,32 +156,35 @@ let[@inline] set_gauge ?task t ~component name v =
     | None -> Hashtbl.add t.gauges k (ref v)
   end
 
+(* Find-or-create the histogram under [k] and add one sample. *)
+let add_sample t k v =
+  let h =
+    match Hashtbl.find_opt t.histograms k with
+    | Some h -> h
+    | None ->
+        let h =
+          {
+            h_count = 0;
+            h_sum = 0;
+            h_min = max_int;
+            h_max = min_int;
+            buckets = Array.make bucket_count 0;
+          }
+        in
+        Hashtbl.add t.histograms k h;
+        h
+  in
+  h.h_count <- h.h_count + 1;
+  h.h_sum <- h.h_sum + v;
+  if v < h.h_min then h.h_min <- v;
+  if v > h.h_max then h.h_max <- v;
+  let i = bucket_index v in
+  h.buckets.(i) <- h.buckets.(i) + 1
+
 let[@inline] observe ?task t ~component name v =
   if t.enabled then begin
     charge_event t;
-    let k = { component; name; task } in
-    let h =
-      match Hashtbl.find_opt t.histograms k with
-      | Some h -> h
-      | None ->
-          let h =
-            {
-              h_count = 0;
-              h_sum = 0;
-              h_min = max_int;
-              h_max = min_int;
-              buckets = Array.make bucket_count 0;
-            }
-          in
-          Hashtbl.add t.histograms k h;
-          h
-    in
-    h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum + v;
-    if v < h.h_min then h.h_min <- v;
-    if v > h.h_max then h.h_max <- v;
-    let i = bucket_index v in
-    h.buckets.(i) <- h.buckets.(i) + 1
+    add_sample t { component; name; task } v
   end
 
 (* Spans.  [begin_span] returns an opaque id (0 when disabled: a valid
@@ -223,29 +226,7 @@ let record_span t os ~ended =
   t.spans_recorded <- t.spans_recorded + 1;
   (* Auto-maintained duration histogram per span key (free of the
      per-event charge: the span charge below covers all bookkeeping). *)
-  let h =
-    match Hashtbl.find_opt t.histograms os.os_key with
-    | Some h -> h
-    | None ->
-        let h =
-          {
-            h_count = 0;
-            h_sum = 0;
-            h_min = max_int;
-            h_max = min_int;
-            buckets = Array.make bucket_count 0;
-          }
-        in
-        Hashtbl.add t.histograms os.os_key h;
-        h
-  in
-  let v = ended - os.os_start in
-  h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum + v;
-  if v < h.h_min then h.h_min <- v;
-  if v > h.h_max then h.h_max <- v;
-  let i = bucket_index v in
-  h.buckets.(i) <- h.buckets.(i) + 1
+  add_sample t os.os_key (ended - os.os_start)
 
 let end_span t id =
   if t.enabled && id <> 0 then begin

@@ -13,7 +13,6 @@ module Tasks = Tytan_tasks.Task_lib
 module Sha1 = Tytan_crypto.Sha1
 module Telf = Tytan_telf.Telf
 module Chaos = Tytan_fault.Chaos
-module Fault_plan = Tytan_fault.Fault_plan
 module Swarm = Tytan_provision.Swarm
 module Gateway = Tytan_serve.Gateway
 
@@ -653,17 +652,14 @@ let rollout_tests =
         let a = Rollout.fault_events ~seed:5 ~devices:8 ~waves:6 in
         let b = Rollout.fault_events ~seed:5 ~devices:8 ~waves:6 in
         check_bool "deterministic" true (a = b);
-        check_int "one event per wave" 6 (List.length a);
-        List.iter
-          (fun { Fault_plan.kind; _ } ->
-            match kind with
-            | Fault_plan.Frame_truncate _ | Fault_plan.Counter_reset _
-            | Fault_plan.Canary_crash _ ->
-                ()
-            | k ->
-                Alcotest.failf "unexpected fault kind %s"
-                  (Fault_plan.kind_label k))
-          a);
+        (* The schedule is typed [Rollout.fault]: only OTA kinds exist. *)
+        check_bool "one event per wave, in wave order" true
+          (List.map (fun (e : _ Campaign.scheduled) -> e.at) a
+          = List.init 6 Fun.id);
+        check_bool "every faulted device exists" true
+          (List.for_all
+             (fun (e : _ Campaign.scheduled) -> e.device >= 0 && e.device < 8)
+             a));
     Alcotest.test_case "flat rollout (canary = fleet) has no gate" `Quick
       (fun () ->
         let r = run_waves ~devices:6 ~canary:6 [ clean_wave 1 ] in

@@ -7,7 +7,6 @@
 open Tytan_netsim
 module Gateway = Tytan_serve.Gateway
 module Swarm = Tytan_provision.Swarm
-module Fault_plan = Tytan_fault.Fault_plan
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -140,7 +139,11 @@ let determinism_tests =
         check_bool "same plan twice" true (f () = f ());
         check_bool "plans fire within the horizon" true
           (List.for_all
-             (fun (e : Fault_plan.event) -> e.Fault_plan.at_tick < 200)
+             (fun (e : _ Campaign.scheduled) -> e.at < 200)
+             (f ()));
+        check_bool "every faulted device exists" true
+          (List.for_all
+             (fun (e : _ Campaign.scheduled) -> e.device >= 0 && e.device < 24)
              (f ())));
   ]
 
